@@ -17,7 +17,6 @@ The script walks the full online-serving loop:
 
 import json
 import tempfile
-import threading
 import urllib.request
 
 import numpy as np
@@ -62,8 +61,7 @@ def main() -> None:
 
         # 3. Serve (equivalent to: repro serve --store <dir> --port 0).
         server = create_server(store, port=0)
-        host, port = server.server_address[:2]
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        host, port = server.start_background()
         base = f"http://{host}:{port}"
         print(f"serving on {base}\n")
 
@@ -106,8 +104,7 @@ def main() -> None:
         print("\nresharded into 4 row-range shards: served answers unchanged, "
               "bit for bit")
 
-        server.shutdown()
-        server.server_close()
+        server.stop()
 
 
 if __name__ == "__main__":

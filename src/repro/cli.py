@@ -473,53 +473,32 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     worker_options = {}
     if args.inject_faults is not None:
         worker_options["faults"] = args.inject_faults
-    if args.workers:
-        # Worker mode: asyncio front end + one process per shard of each
-        # sharded model.  (The worker count is per model and fixed by its
-        # shard count; the flag's value simply switches the mode on, so
-        # `--workers 4` over 4-shard models reads naturally.)
-        from repro.serve.async_http import create_async_server
+    from repro.serve.async_http import create_server
 
-        async_server = create_async_server(
-            args.store, host=args.host, port=args.port,
-            max_batch=args.max_batch, batch_delay=args.batch_delay / 1000.0,
-            verbose=args.verbose, kernel=args.interval_kernel, workers=True,
-            head_timeout=args.head_timeout, body_timeout=args.body_timeout,
-            request_timeout=args.request_timeout, degraded=args.degraded,
-            worker_options=worker_options, dtype=args.dtype,
-        )
-        models = async_server.app.store.list()
-        print(f"serving {len(models)} model(s) from {args.store} "
-              f"on http://{args.host}:{args.port} "
-              "(async front end, worker processes per shard)")
-        for record in models:
-            print(f"  {record.name}: {record.method} target {record.target} "
-                  f"rank {record.rank}")
-        async_server.run()
-        return 0
-    from repro.serve.http import create_server
-
+    # --workers serves each sharded model from one process per shard.  (The
+    # worker count is per model and fixed by its shard count; the flag's
+    # value simply switches the backend on, so `--workers 4` over 4-shard
+    # models reads naturally.)
     server = create_server(
         args.store, host=args.host, port=args.port,
         max_batch=args.max_batch, batch_delay=args.batch_delay / 1000.0,
         verbose=args.verbose, kernel=args.interval_kernel,
+        workers=bool(args.workers),
+        head_timeout=args.head_timeout, body_timeout=args.body_timeout,
         request_timeout=args.request_timeout, degraded=args.degraded,
-        dtype=args.dtype,
+        worker_options=worker_options, dtype=args.dtype,
     )
-    host, port = server.server_address[:2]
     models = server.app.store.list()
-    print(f"serving {len(models)} model(s) from {args.store} "
-          f"on http://{host}:{port}")
-    for record in models:
-        print(f"  {record.name}: {record.method} target {record.target} "
-              f"rank {record.rank}")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
-        pass
-    finally:
-        server.server_close()
-        server.app.close()
+
+    def announce(address) -> None:
+        backend = " (worker processes per shard)" if args.workers else ""
+        print(f"serving {len(models)} model(s) from {args.store} "
+              f"on http://{address[0]}:{address[1]}{backend}", flush=True)
+        for record in models:
+            print(f"  {record.name}: {record.method} target {record.target} "
+                  f"rank {record.rank}", flush=True)
+
+    server.run(ready=announce)
     return 0
 
 
@@ -693,17 +672,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="log every request to stderr")
     serve.add_argument("--workers", type=int, default=0, metavar="N",
                        help="N > 0 serves sharded models from one worker "
-                            "process per shard behind an asyncio front end "
-                            "(0, the default, keeps the in-process threaded "
-                            "server)")
+                            "process per shard (0, the default, serves them "
+                            "in-process)")
     serve.add_argument("--head-timeout", type=float, default=30.0,
                        metavar="SECONDS",
                        help="seconds a client may take to deliver the "
-                            "request head (async front end; default: 30)")
+                            "request head (default: 30)")
     serve.add_argument("--body-timeout", type=float, default=60.0,
                        metavar="SECONDS",
                        help="seconds a client may take to deliver the "
-                            "request body (async front end; default: 60)")
+                            "request body (default: 60)")
     serve.add_argument("--request-timeout", type=float, default=None,
                        metavar="SECONDS",
                        help="end-to-end deadline per query; expiry returns "

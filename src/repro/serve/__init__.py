@@ -32,15 +32,17 @@ The subsystem has seven layers, each usable on its own (see
   the chaos test tier proves all of it against;
 * :mod:`repro.serve.http` / :mod:`repro.serve.async_http` — a stdlib-only
   HTTP JSON service (``/models``, ``/recommend``, ``/neighbors``,
-  ``/healthz``) exposed by the CLI as ``repro serve`` / ``repro query``;
-  the asyncio front end (``repro serve --workers N``) parses requests on
-  the event loop so slow clients cannot exhaust worker threads.
+  ``/healthz``) exposed by the CLI as ``repro serve`` / ``repro query``:
+  :class:`~repro.serve.http.ServingApp` holds the engines and batchers, and
+  one asyncio front end (:func:`create_server`) serves it for every
+  backend, parsing requests on the event loop so slow clients cannot
+  exhaust executor threads.
 """
 
-from repro.serve.async_http import AsyncServingServer, create_async_server
+from repro.serve.async_http import AsyncServingServer, create_server
 from repro.serve.batching import MicroBatcher
 from repro.serve.foldin import FoldInProjector
-from repro.serve.http import ServingApp, create_server
+from repro.serve.http import ServingApp
 from repro.serve.protocol import (
     ProtocolError,
     decode_frame,
@@ -105,7 +107,6 @@ __all__ = [
     "WorkerRequestError",
     "WorkerShardedQueryEngine",
     "collect_missing_shards",
-    "create_async_server",
     "create_server",
     "current_deadline",
     "deadline_scope",

@@ -1,11 +1,7 @@
-"""Asyncio HTTP front end: slow clients cost a coroutine, not a thread.
+"""Asyncio HTTP front end: the one way :class:`ServingApp` is served.
 
-The classic :class:`~repro.serve.http.ServingHTTPServer` dedicates one
-thread per connection, so a client trickling its request body byte by byte
-pins a thread for the duration — a handful of slow (or malicious) clients
-can starve everyone else.  :class:`AsyncServingServer` keeps the exact same
-routes and the exact same :class:`~repro.serve.http.ServingApp` semantics,
-but accepts connections on an asyncio event loop:
+:class:`AsyncServingServer` accepts connections on an asyncio event loop, so
+a slow client costs a coroutine, not a thread:
 
 * request *parsing* (status line, headers, body) happens on the loop with
   per-phase timeouts — a half-open or trickling connection occupies only a
@@ -14,15 +10,17 @@ but accepts connections on an asyncio event loop:
   bounded thread pool (``run_in_executor``).  Only complete, validated
   requests ever reach the pool, so slow clients cannot occupy it.  The
   :class:`~repro.serve.batching.MicroBatcher`'s leader/follower protocol
-  works unchanged across the pool's threads: concurrent single-row queries
-  still stack into single BLAS calls, and batching still never changes a
-  byte of any response.
+  works across the pool's threads: concurrent single-row queries stack into
+  single BLAS calls, and batching never changes a byte of any response;
+* each response leaves in one ``write`` of head and body, and asyncio sets
+  ``TCP_NODELAY`` on every accepted TCP socket, so a keep-alive client never
+  waits out Nagle's algorithm against its own delayed ACK.
 
-Responses are byte-compatible with the threaded server (same JSON payloads,
-same status codes), so clients — and the parity test suite — cannot tell
-the two front ends apart.  With the app's ``workers`` backend enabled, the
-event loop feeds worker *processes* through the executor threads, giving
-the full multi-process serving path of ``repro serve --workers N``.
+Every response body is ``json.dumps(<ServingApp result>)`` — the same bytes
+an in-process caller of the app would serialize.  With the app's ``workers``
+backend enabled, the executor threads feed worker *processes*, giving the
+multi-process serving path of ``repro serve --workers N``; without it,
+sharded models scatter-gather over in-process threads.
 """
 
 from __future__ import annotations
@@ -32,7 +30,8 @@ import json
 import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Optional, Tuple, Union
+from http import HTTPStatus
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.interval.scalar import IntervalError
 from repro.serve.http import MAX_BODY_BYTES, RequestError, ServingApp
@@ -49,11 +48,6 @@ MAX_HEADER_BYTES = 32 * 1024
 HEAD_TIMEOUT = 30.0
 BODY_TIMEOUT = 60.0
 
-_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            408: "Request Timeout", 413: "Payload Too Large",
-            500: "Internal Server Error", 503: "Service Unavailable",
-            504: "Gateway Timeout"}
-
 logger = logging.getLogger(__name__)
 
 
@@ -66,7 +60,7 @@ class _BadRequest(Exception):
 
 
 class AsyncServingServer:
-    """Asyncio front end over a :class:`ServingApp` (same routes, same bytes).
+    """Asyncio front end over a :class:`ServingApp`.
 
     Parameters
     ----------
@@ -82,7 +76,8 @@ class AsyncServingServer:
         the widest micro-batch a single delay window can collect from
         concurrent connections.
     verbose:
-        Log each request to stderr.
+        Log each request (method, path, status) at INFO level through this
+        module's logger.
     head_timeout, body_timeout:
         Seconds a client may take to deliver the request head / body
         (defaults :data:`HEAD_TIMEOUT` / :data:`BODY_TIMEOUT`).
@@ -106,8 +101,8 @@ class AsyncServingServer:
             thread_name_prefix="repro-async-exec")
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
-        self._thread: Optional[threading.Thread] = None
         self._started = threading.Event()
+        self._done = threading.Event()
         self._stopping: Optional[asyncio.Event] = None
         self._connections: set = set()
         self.address: Optional[Tuple[str, int]] = None
@@ -139,7 +134,7 @@ class AsyncServingServer:
                                   writer: asyncio.StreamWriter) -> bool:
         """Parse, dispatch and answer one request; returns keep-alive."""
         try:
-            method, path, headers, close_requested = \
+            method, path, headers, close_requested, expects_continue = \
                 await self._read_head(reader)
         except _BadRequest as error:
             if error.status == 408 and not str(error).startswith("timed out"):
@@ -148,7 +143,8 @@ class AsyncServingServer:
                                 close=True)
             return False
         try:
-            body = await self._read_body(reader, headers)
+            body = await self._read_body(reader, writer, headers,
+                                         expects_continue)
         except _BadRequest as error:
             # The body is unread or unreadable either way: the connection
             # cannot be reused, its next bytes are not a request line.
@@ -157,7 +153,7 @@ class AsyncServingServer:
             return False
         status, payload, extra_headers = await self._dispatch(method, path, body)
         if self.verbose:
-            print(f"async-serve: {method} {path} -> {status}", flush=True)
+            logger.info("%s %s -> %d", method, path, status)
         await self._respond(writer, payload, status, close=close_requested,
                             extra_headers=extra_headers)
         return not close_requested
@@ -195,10 +191,14 @@ class AsyncServingServer:
         close_requested = (connection == "close"
                            or (version == "HTTP/1.0"
                                and connection != "keep-alive"))
-        return method, path, headers, close_requested
+        expects_continue = (version == "HTTP/1.1" and
+                            headers.get("expect", "").lower() == "100-continue")
+        return method, path, headers, close_requested, expects_continue
 
     async def _read_body(self, reader: asyncio.StreamReader,
-                         headers: Dict[str, str]) -> bytes:
+                         writer: asyncio.StreamWriter,
+                         headers: Dict[str, str],
+                         expects_continue: bool) -> bytes:
         raw_length = headers.get("content-length", "0")
         try:
             length = int(raw_length)
@@ -212,6 +212,11 @@ class AsyncServingServer:
             raise _BadRequest("request body too large", 413)
         if length == 0:
             return b""
+        if expects_continue:
+            # The client holds the body back until told to send it (curl
+            # waits 1s otherwise); the checks above may still refuse it.
+            writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            await writer.drain()
         try:
             return await asyncio.wait_for(
                 reader.readexactly(length), timeout=self.body_timeout)
@@ -249,8 +254,7 @@ class AsyncServingServer:
     async def _call(self, handler, *args
                     ) -> Tuple[int, Dict[str, object], Dict[str, str]]:
         """Run one blocking app handler on the executor, mapping exceptions
-        to the same statuses (and ``Retry-After`` headers) the threaded
-        server produces."""
+        to their statuses (and ``Retry-After`` headers)."""
         loop = asyncio.get_running_loop()
         try:
             result = await loop.run_in_executor(
@@ -277,7 +281,7 @@ class AsyncServingServer:
             status = 500
             body = json.dumps(
                 {"error": "response contains non-finite values"}).encode()
-        reason = _REASONS.get(status, "Unknown")
+        reason = HTTPStatus(status).phrase
         extra = "".join(f"{name}: {value}\r\n"
                         for name, value in (extra_headers or {}).items())
         head = (
@@ -294,15 +298,17 @@ class AsyncServingServer:
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-    async def _serve(self) -> None:
+    async def _serve(self, ready: Optional[Callable[[Tuple[str, int]], None]]
+                     ) -> None:
         self._stopping = asyncio.Event()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port, backlog=128)
         self.address = self._server.sockets[0].getsockname()[:2]
-        logger.info("async serving front end listening on %s:%d",
-                    *self.address)
+        logger.info("serving front end listening on %s:%d", *self.address)
         self._started.set()
         try:
+            if ready is not None:
+                ready(self.address)
             # start_server is already accepting; park until stop() fires.
             await self._stopping.wait()
         finally:
@@ -321,13 +327,18 @@ class AsyncServingServer:
             await asyncio.sleep(0)
             await asyncio.sleep(0)
 
-    def run(self) -> None:
-        """Serve until cancelled (the blocking CLI entry point).  Reaps the
-        app's engines — including worker processes — on the way out."""
-        self._loop = asyncio.new_event_loop()
-        task = self._loop.create_task(self._serve())
+    def run(self, ready: Optional[Callable[[Tuple[str, int]], None]] = None
+            ) -> None:
+        """Serve until :meth:`stop` or Ctrl-C (the blocking CLI entry point).
+
+        ``ready`` is called with the bound address once the listener accepts
+        connections.  Reaps the app's engines — including worker processes —
+        on the way out.
+        """
+        loop = self._loop = asyncio.new_event_loop()
+        task = loop.create_task(self._serve(ready))
         try:
-            self._loop.run_until_complete(task)
+            loop.run_until_complete(task)
         except KeyboardInterrupt:
             # Run the loop just long enough for _serve's finally block to
             # close the listener and cancel parked connections — otherwise
@@ -335,70 +346,49 @@ class AsyncServingServer:
             # ignored GeneratorExit").  A second Ctrl-C still gets through.
             task.cancel()
             try:
-                self._loop.run_until_complete(task)
+                loop.run_until_complete(task)
             except (KeyboardInterrupt, asyncio.CancelledError):
                 pass
-        except asyncio.CancelledError:
-            pass
         finally:
-            self._shutdown_loop()
+            loop.close()
+            self._release()
+            self._done.set()
 
     def start_background(self) -> Tuple[str, int]:
         """Run the server on a daemon thread; returns the bound address.
 
         The test-suite (and embedding) entry point; pair with :meth:`stop`.
         """
-        self._loop = asyncio.new_event_loop()
-
-        def runner() -> None:
-            asyncio.set_event_loop(self._loop)
-            try:
-                self._loop.run_until_complete(self._serve())
-            except asyncio.CancelledError:  # pragma: no cover
-                pass
-            except RuntimeError:  # loop stopped by stop(); expected
-                pass
-
-        self._thread = threading.Thread(target=runner, daemon=True,
-                                        name="repro-async-serve")
-        self._thread.start()
+        threading.Thread(target=self.run, daemon=True,
+                         name="repro-async-serve").start()
         if not self._started.wait(timeout=10.0):
-            raise RuntimeError("async serving front end failed to start")
+            raise RuntimeError("serving front end failed to start")
         assert self.address is not None
         return self.address
 
     def stop(self) -> None:
-        """Stop a background server and release everything (idempotent):
-        the listener, the executor, and the app's engines — after this, no
+        """Stop a started server and release everything (idempotent): the
+        listener, the executor, and the app's engines — after this, no
         worker process of this server is running."""
-        loop, self._loop = self._loop, None
-        if loop is not None and loop.is_running() and self._stopping is not None:
-            # _serve() owns the orderly teardown: it closes the listener,
-            # cancels parked connections and waits them out, then returns —
-            # which ends run_until_complete on the server thread.
-            loop.call_soon_threadsafe(self._stopping.set)
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
-        if loop is not None and not loop.is_running():
-            loop.close()
-        self._release()
-
-    def _shutdown_loop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-        if self._loop is not None and not self._loop.is_running():
-            self._loop.close()
-        self._loop = None
-        self._release()
+        if self._loop is None:  # never ran: only the app needs releasing
+            self._release()
+            return
+        if self._stopping is not None:
+            try:
+                # _serve() owns the orderly teardown, then run() releases
+                # the executor and the app's engines.
+                self._loop.call_soon_threadsafe(self._stopping.set)
+            except RuntimeError:  # loop already closed: run() has returned
+                pass
+        self._done.wait()
 
     def _release(self) -> None:
         self._executor.shutdown(wait=True)
         self.app.close()
-        logger.info("async serving front end stopped")
+        logger.info("serving front end stopped")
 
 
-def create_async_server(
+def create_server(
     store: Union[ModelStore, str],
     host: str = "127.0.0.1",
     port: int = 8080,
@@ -415,15 +405,15 @@ def create_async_server(
     worker_options: Optional[Dict[str, object]] = None,
     dtype: Optional[str] = None,
 ) -> AsyncServingServer:
-    """Build the asyncio front end over a model store (CLI-facing twin of
-    :func:`repro.serve.http.create_server`).
+    """Build the serving front end over a model store (sharded and
+    single-file models alike).
 
-    With ``workers=True``, sharded models are served by one worker process
-    per shard; single-file models still serve in-process.  Every response
-    stays byte-identical to the threaded server's.  ``head_timeout`` /
-    ``body_timeout`` bound the client's delivery of a request;
-    ``request_timeout``, ``degraded`` and ``worker_options`` set the
-    fault-tolerance policy (see :class:`~repro.serve.http.ServingApp`).
+    ``max_batch`` / ``batch_delay`` (seconds) tune micro-batching, which
+    never changes any answer; ``workers=True`` serves sharded models through
+    one worker process per shard instead of in-process threads, with
+    byte-identical answers.  ``kernel``, ``request_timeout``, ``degraded``,
+    ``worker_options`` and ``dtype`` are :class:`ServingApp`'s; the rest are
+    :class:`AsyncServingServer`'s.  ``port=0`` binds an ephemeral port.
     """
     app = ServingApp(store, max_batch=max_batch, batch_delay=batch_delay,
                      kernel=kernel, workers=workers,

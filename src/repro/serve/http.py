@@ -1,4 +1,4 @@
-"""Stdlib-only HTTP JSON service over a model store.
+"""The HTTP JSON service's application layer over a model store.
 
 Endpoints (all responses are JSON):
 
@@ -22,16 +22,14 @@ models get a :class:`~repro.serve.query.QueryEngine`, sharded models
 two return byte-identical answers, so the wire format of a response does not
 depend on how the model is stored.
 
-Built on ``http.server.ThreadingHTTPServer`` — no dependencies beyond the
-standard library, matching the rest of the package (numpy/scipy only).
+This module holds the transport-free application (:class:`ServingApp`); the
+HTTP front end that serves it is :mod:`repro.serve.async_http` — standard
+library only, matching the rest of the package (numpy/scipy only).
 """
 
 from __future__ import annotations
 
-import json
-import logging
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, FrozenSet, Optional, Tuple, Union
 from zipfile import BadZipFile
 
@@ -57,8 +55,6 @@ from repro.serve.worker import (
     WorkerShardedQueryEngine,
     collect_missing_shards,
 )
-
-logger = logging.getLogger(__name__)
 
 #: Any engine type: the single-model engine, the in-process scatter-gather
 #: router, or the worker-process-backed router.  They share the query API
@@ -182,7 +178,8 @@ class ServingApp:
         self.worker_options = dict(worker_options or {})
         self._lock = threading.Lock()
         self._engines: Dict[str, Tuple[object, EngineLike, object]] = {}
-        self._batchers: Dict[Tuple[str, str], MicroBatcher] = {}
+        self._batchers: Dict[Tuple[str, str, Tuple[object, ...]],
+                             MicroBatcher] = {}
         #: Per-model single-flight locks: loading a model is O(model bytes)
         #: (NPZ decompress + per-shard fingerprint hashing), so concurrent
         #: first requests must not each load-and-discard their own copy.
@@ -225,6 +222,11 @@ class ServingApp:
         over an existing name takes effect without restarting the server.
         A model deleted mid-request surfaces as 404, not a dropped connection.
         """
+        return self._resolve(name)[1]
+
+    def _resolve(self, name: str) -> Tuple[Tuple[object, ...], EngineLike]:
+        """:meth:`engine` plus the version key it was validated against —
+        one store metadata read per call."""
         # (The initial version read happens outside the single-flight lock —
         # cheap cache hits must not serialize — and is re-read under the
         # lock before any load.)
@@ -233,7 +235,7 @@ class ServingApp:
             cached = self._engines.get(name)
             load_lock = self._load_locks.setdefault(name, threading.Lock())
         if cached is not None and cached[0] == version:
-            return cached[1]
+            return version, cached[1]
         # Single-flight per model: loading is O(model bytes), so a burst of
         # first requests (or requests racing a republish) must produce one
         # load, not one per thread.  Different models still load in parallel.
@@ -247,7 +249,7 @@ class ServingApp:
             with self._lock:
                 cached = self._engines.get(name)
             if cached is not None and cached[0] == version:
-                return cached[1]
+                return version, cached[1]
             if self.dtype is not None and record.dtype != self.dtype:
                 raise RequestError(
                     f"model {name!r} is stored as {record.dtype} but this "
@@ -284,9 +286,14 @@ class ServingApp:
             with self._lock:
                 displaced = self._engines.get(name)
                 self._engines[name] = (version, engine, record)
+                # Batchers are bound to one publish's engine; drop the
+                # displaced ones so they cannot pin its factors.
+                for key in [k for k in self._batchers
+                            if k[0] == name and k[2] != version]:
+                    del self._batchers[key]
         if displaced is not None:
             self._close_engine(displaced[1])
-        return engine
+        return version, engine
 
     @staticmethod
     def _close_engine(engine: object) -> None:
@@ -313,7 +320,18 @@ class ServingApp:
         if cached is not None:
             self._close_engine(cached[1])
 
-    def _batcher(self, name: str, operation: str) -> MicroBatcher:
+    def _batcher(self, name: str, operation: str,
+                 resolved: Optional[Tuple[Tuple[object, ...], EngineLike]] = None
+                 ) -> MicroBatcher:
+        """The micro-batcher for one publish of a model and one operation.
+
+        Batchers are keyed by the engine version ``resolved`` (default: the
+        current one): a batch runs on the engine its requests were already
+        resolved and width-checked against, so it never re-reads the store
+        and never mixes requests validated against two publishes.
+        """
+        version, engine = resolved or self._resolve(name)
+
         def run_batch(requests):
             # The whole batch executes on the *leader's* thread, so the
             # followers' thread-local degradation scopes never see what the
@@ -326,9 +344,6 @@ class ServingApp:
             return [(result, dropped) for result in results]
 
         def run_batch_inner(requests):
-            # Resolve the engine per batch, so republished models take effect
-            # for batched queries too.
-            engine = self.engine(name)
             rows_list, ks = zip(*requests)
             stacked = IntervalMatrix(
                 np.vstack([rows.lower for rows in rows_list]),
@@ -373,12 +388,18 @@ class ServingApp:
                                           np.sqrt(selected.scores)))
             return results
 
+        key = (name, operation, version)
         with self._lock:
-            key = (name, operation)
-            if key not in self._batchers:
-                self._batchers[key] = MicroBatcher(
-                    run_batch, max_batch=self.max_batch, max_delay=self.batch_delay)
-            return self._batchers[key]
+            batcher = self._batchers.get(key)
+            if batcher is None:
+                batcher = MicroBatcher(run_batch, max_batch=self.max_batch,
+                                       max_delay=self.batch_delay)
+                cached = self._engines.get(name)
+                # A request that resolved a just-displaced publish gets a
+                # private batcher: registering it would pin stale factors.
+                if cached is not None and cached[0] == version:
+                    self._batchers[key] = batcher
+            return batcher
 
     # ------------------------------------------------------------------ #
     # Operations (shared by the HTTP handler and in-process callers)
@@ -399,7 +420,8 @@ class ServingApp:
         with deadline_scope(self.request_timeout), \
                 collect_missing_shards() as missing:
             try:
-                engine = self.engine(name)
+                resolved = self._resolve(name)
+                engine = resolved[1]
                 if rows.shape[1] != engine.n_items:
                     # Validated before submitting so a malformed request can
                     # never poison the other requests sharing its micro-batch.
@@ -408,8 +430,8 @@ class ServingApp:
                         f"got {rows.shape[1]}"
                     )
                 if single and self.max_batch > 1:
-                    result, dropped = \
-                        self._batcher(name, operation).submit((rows, k))
+                    result, dropped = self._batcher(
+                        name, operation, resolved).submit((rows, k))
                     missing.update(dropped)
                 elif operation == "recommend":
                     result = engine.top_k_items(rows, k)
@@ -463,7 +485,7 @@ class ServingApp:
             cached = dict(self._engines)
             batcher_stats = {
                 f"{name}:{operation}": batcher.stats()
-                for (name, operation), batcher in self._batchers.items()
+                for (name, operation, _), batcher in self._batchers.items()
             }
         serving: Dict[str, object] = {}
         degraded = False
@@ -508,173 +530,3 @@ class ServingApp:
             close = getattr(engine, "close", None)
             if close is not None:
                 close(wait=True)
-
-
-class ServingHTTPServer(ThreadingHTTPServer):
-    """Threading HTTP server tuned for bursts of concurrent queries.
-
-    The stdlib default listen backlog of 5 drops (resets) connections the
-    moment more clients connect than the accept loop has drained — exactly
-    the burst pattern micro-batching exists for — so it is raised here.
-    Handler threads are daemonic: a hung client cannot block shutdown.
-    """
-
-    request_queue_size = 128
-    daemon_threads = True
-
-
-class ServingHandler(BaseHTTPRequestHandler):
-    """Routes HTTP requests to the :class:`ServingApp` attached to the server."""
-
-    server_version = "repro-serve/1.0"
-    protocol_version = "HTTP/1.1"
-
-    @property
-    def app(self) -> ServingApp:
-        return self.server.app  # type: ignore[attr-defined]
-
-    # ------------------------------------------------------------------ #
-    # Plumbing
-    # ------------------------------------------------------------------ #
-    def log_message(self, format: str, *args: object) -> None:
-        if getattr(self.server, "verbose", False):  # quiet by default
-            super().log_message(format, *args)
-
-    def _send_json(self, payload: Dict[str, object], status: int = 200,
-                   retry_after: Optional[float] = None) -> None:
-        try:
-            # allow_nan=False: bare NaN/Infinity tokens are not valid JSON and
-            # break standards-compliant clients.  Inputs are validated finite,
-            # so this only trips on pathological overflow inside the model.
-            body = json.dumps(payload, allow_nan=False).encode("utf-8")
-        except ValueError:
-            status = 500
-            payload = {"error": "response contains non-finite values"}
-            body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if retry_after is not None:
-            # Integral seconds, rounded up: Retry-After is delta-seconds.
-            self.send_header("Retry-After", str(max(1, int(-(-retry_after // 1)))))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_body(self) -> Dict[str, object]:
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except (TypeError, ValueError):
-            # The body size is unknowable, so it cannot be drained; the
-            # connection must close or the leftover bytes would be parsed as
-            # the next request.
-            self.close_connection = True
-            raise RequestError("invalid Content-Length")
-        if length <= 0:
-            raise RequestError("a JSON request body is required")
-        if length > MAX_BODY_BYTES:
-            self.close_connection = True  # refuse to drain oversized bodies
-            raise RequestError("request body too large", status=413)
-        try:
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise RequestError(f"invalid JSON body: {error}") from error
-        if not isinstance(payload, dict):
-            raise RequestError("request body must be a JSON object")
-        return payload
-
-    # ------------------------------------------------------------------ #
-    # Routes
-    # ------------------------------------------------------------------ #
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        try:
-            if self.path == "/healthz":
-                self._send_json(self.app.healthz())
-            elif self.path == "/models":
-                self._send_json(self.app.models())
-            else:
-                self._send_json({"error": f"unknown path {self.path!r}"}, status=404)
-        except Exception as error:  # never drop the connection without a reply
-            self._send_json({"error": f"internal error: {error}"}, status=500)
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        routes = {"/recommend": self.app.recommend, "/neighbors": self.app.neighbors}
-        handler = routes.get(self.path)
-        try:
-            # Read the body before routing, even for unknown paths: replying
-            # while unread body bytes sit on a keep-alive connection would
-            # corrupt the next request on it.
-            try:
-                payload = self._read_body()
-            except RequestError:
-                if handler is None:  # the unknown path is the better diagnosis
-                    raise RequestError(f"unknown path {self.path!r}", status=404)
-                raise
-            if handler is None:
-                raise RequestError(f"unknown path {self.path!r}", status=404)
-            self._send_json(handler(payload))
-        except RequestError as error:
-            self._send_json({"error": str(error)}, status=error.status,
-                            retry_after=error.retry_after)
-        except (ValueError, IntervalError) as error:
-            self._send_json({"error": str(error)}, status=400)
-        except Exception as error:  # never drop the connection without a reply
-            self._send_json({"error": f"internal error: {error}"}, status=500)
-
-
-def create_server(
-    store: Union[ModelStore, str],
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    max_batch: int = 64,
-    batch_delay: float = 0.002,
-    verbose: bool = False,
-    kernel: KernelLike = None,
-    workers: bool = False,
-    request_timeout: Optional[float] = None,
-    degraded: str = "fail",
-    worker_options: Optional[Dict[str, object]] = None,
-    dtype: Optional[str] = None,
-) -> ServingHTTPServer:
-    """Build a ready-to-run threading HTTP server over a model store.
-
-    Parameters
-    ----------
-    store:
-        A :class:`ModelStore` or a store directory path.  Sharded and
-        single-file models in it are served alike.
-    host, port:
-        Bind address.  ``port=0`` binds an ephemeral port
-        (``server.server_address`` has the real one).
-    max_batch:
-        Most concurrent single-row queries stacked into one scoring call
-        (per model and operation); ``1`` disables micro-batching.
-    batch_delay:
-        Seconds a batch leader waits for followers (keep at network-jitter
-        scale; it bounds the latency a lone request pays).
-    verbose:
-        Log each request to stderr.
-    kernel:
-        Interval-product kernel every served model's engine is built with.
-    workers:
-        Serve sharded models through one worker process per shard.
-    request_timeout, degraded, worker_options:
-        Fault-tolerance policy; see :class:`ServingApp`.
-    dtype:
-        Pin the server to one factor precision; models of any other
-        recorded dtype are refused with a 409 (see :class:`ServingApp`).
-
-    Call ``serve_forever()`` to run; each connection is handled on its own
-    thread, and concurrent single-row queries are micro-batched.
-    Micro-batching never changes any answer: the engines' scoring paths are
-    batch-invariant and selection is a total order, so a batched response is
-    byte-identical to the response an idle server would have produced.
-    """
-    server = ServingHTTPServer((host, port), ServingHandler)
-    server.app = ServingApp(store, max_batch=max_batch, batch_delay=batch_delay,
-                            kernel=kernel, workers=workers,
-                            request_timeout=request_timeout,
-                            degraded=degraded,
-                            worker_options=worker_options,
-                            dtype=dtype)  # type: ignore[attr-defined]
-    server.verbose = verbose  # type: ignore[attr-defined]
-    return server

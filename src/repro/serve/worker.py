@@ -55,7 +55,9 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeoutError
+from concurrent.futures import wait as wait_futures
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
@@ -532,10 +534,11 @@ class ShardWorkerSupervisor:
         n_shards = manifest.record.shards
         self._handles: List[Optional[WorkerHandle]] = [None] * n_shards
         self._restarts = [0] * n_shards
-        #: Per-shard restart serialization: the `current is not failed`
-        #: re-check must happen under this lock, or two callers observing
-        #: the same dead handle would both spawn a replacement.
-        self._restart_locks = [threading.Lock() for _ in range(n_shards)]
+        #: Each shard's in-flight respawn, shared by every caller that
+        #: finds its worker dead; guarded by ``_respawn_lock``, which also
+        #: orders a new respawn against close().
+        self._respawns: List[Optional[Future]] = [None] * n_shards
+        self._respawn_lock = threading.Lock()
         self._breakers = [
             CircuitBreaker(threshold=breaker_threshold,
                            window=breaker_window, cooldown=breaker_cooldown)
@@ -710,87 +713,109 @@ class ShardWorkerSupervisor:
                  deadline: Optional[Deadline] = None) -> WorkerHandle:
         """Replace one dead worker (no-op if another thread already did).
 
-        Serialized per shard: the ``current is not failed`` re-check runs
-        under the shard's restart lock, so exactly one of any number of
-        racing callers (request threads, the monitor) spawns the
-        replacement; the rest adopt it.  The death is charged to the
-        shard's breaker once, and an open breaker refuses the respawn with
-        :class:`ShardUnavailableError` — after the cooldown, the winning
-        caller runs the half-open probe (spawn + ping) that decides
-        between closing and re-opening.
+        Every racing caller (request threads, the monitor) joins the
+        shard's one in-flight respawn, which runs on its own thread, so
+        exactly one of them spawns the replacement and the rest adopt it.
+        A caller with a ``deadline`` waits only its remaining budget — a
+        spawn lasts as long as the worker's imports — and the respawn it
+        joined still completes for the callers after it.
         """
-        lock = self._restart_locks[shard]
-        if deadline is None:
-            lock.acquire()
-        else:
-            remaining = deadline.remaining()
-            if remaining <= 0 or not lock.acquire(timeout=remaining):
-                raise DeadlineExceededError(
-                    f"deadline expired waiting to restart shard {shard} "
-                    f"of {self.name!r}")
-        try:
-            current = self._handles[shard]
-            if current is not failed:
-                if current is None:
-                    raise WorkerError(f"shard {shard} has no worker")
-                return current
-            # Short grace: a worker being *replaced* has already failed its
-            # caller.  The full courtesy wait belongs to clean shutdown —
-            # here it would make recovery from a stalled worker take as
-            # long as the stall itself.
-            failed.reap(timeout=0.2)
+        with self._respawn_lock:
             if self._closed:
                 raise WorkerError("supervisor is closed")
-            breaker = self._breakers[shard]
-            if not failed.failure_recorded:
-                failed.failure_recorded = True
-                self._last_failure[shard] = reason
-                breaker.record_failure(reason)
-                if breaker.state != BREAKER_CLOSED:
-                    logger.warning(
-                        "circuit breaker for shard %d of %r opened: %s",
-                        shard, self.name, reason)
-            if not breaker.allow():
-                raise ShardUnavailableError(
-                    shard,
-                    f"shard {shard} of {self.name!r} is crash-looping; "
-                    f"circuit breaker open ({reason})",
-                    retry_after=breaker.retry_after(),
-                )
-            probing = breaker.state == BREAKER_HALF_OPEN
-            try:
-                handle = self._spawn(shard)
-                try:
-                    # Trust no respawn until it answers: a worker that
-                    # connects and then wedges (or dies) would otherwise
-                    # close a half-open breaker it never earned.
-                    self._probe(handle)
-                except Exception:
-                    handle.reap()
-                    raise
-            except Exception as error:
-                breaker.record_failure(f"respawn failed: {error}")
-                if isinstance(error, WorkerError):
-                    raise
-                raise WorkerError(
-                    f"respawn of shard {shard} of {self.name!r} failed: "
-                    f"{error}") from error
-            if probing:
+            respawn = self._respawns[shard]
+            if respawn is None or respawn.done():
+                respawn = self._respawns[shard] = Future()
+                threading.Thread(
+                    target=self._run_respawn,
+                    args=(respawn, shard, failed, reason),
+                    name=f"repro-worker-respawn-{shard}", daemon=True,
+                ).start()
+        timeout = None if deadline is None else max(deadline.remaining(), 0.0)
+        try:
+            return respawn.result(timeout=timeout)
+        except FutureTimeoutError:
+            raise DeadlineExceededError(
+                f"deadline expired waiting to restart shard {shard} "
+                f"of {self.name!r}") from None
+
+    def _run_respawn(self, respawn: Future, shard: int,
+                     failed: WorkerHandle, reason: str) -> None:
+        try:
+            respawn.set_result(self._replace(shard, failed, reason))
+        except BaseException as error:
+            respawn.set_exception(error)
+
+    def _replace(self, shard: int, failed: WorkerHandle,
+                 reason: str) -> WorkerHandle:
+        """The body of one respawn (never two at once per shard).
+
+        The death is charged to the shard's breaker once, and an open
+        breaker refuses the respawn with :class:`ShardUnavailableError` —
+        after the cooldown, the respawn that finds the breaker half-open
+        runs the probe (spawn + ping) that decides between closing and
+        re-opening.
+        """
+        current = self._handles[shard]
+        if current is not failed:
+            if current is None:
+                raise WorkerError(f"shard {shard} has no worker")
+            return current
+        # Short grace: a worker being *replaced* has already failed its
+        # caller.  The full courtesy wait belongs to clean shutdown —
+        # here it would make recovery from a stalled worker take as
+        # long as the stall itself.
+        failed.reap(timeout=0.2)
+        if self._closed:
+            raise WorkerError("supervisor is closed")
+        breaker = self._breakers[shard]
+        if not failed.failure_recorded:
+            failed.failure_recorded = True
+            self._last_failure[shard] = reason
+            breaker.record_failure(reason)
+            if breaker.state != BREAKER_CLOSED:
                 logger.warning(
-                    "circuit breaker for shard %d of %r closed after "
-                    "half-open probe", shard, self.name)
-                breaker.record_success()
-            self._handles[shard] = handle
-            self._restarts[shard] += 1
-            timestamps = self._restarted_at[shard]
-            timestamps.append(time.time())
-            del timestamps[:-10]  # keep the last 10 for /healthz
-            logger.info("restarted worker for shard %d of %r "
-                        "(restart #%d: %s)",
-                        shard, self.name, self._restarts[shard], reason)
-            return handle
-        finally:
-            lock.release()
+                    "circuit breaker for shard %d of %r opened: %s",
+                    shard, self.name, reason)
+        if not breaker.allow():
+            raise ShardUnavailableError(
+                shard,
+                f"shard {shard} of {self.name!r} is crash-looping; "
+                f"circuit breaker open ({reason})",
+                retry_after=breaker.retry_after(),
+            )
+        probing = breaker.state == BREAKER_HALF_OPEN
+        try:
+            handle = self._spawn(shard)
+            try:
+                # Trust no respawn until it answers: a worker that
+                # connects and then wedges (or dies) would otherwise
+                # close a half-open breaker it never earned.
+                self._probe(handle)
+            except Exception:
+                handle.reap()
+                raise
+        except Exception as error:
+            breaker.record_failure(f"respawn failed: {error}")
+            if isinstance(error, WorkerError):
+                raise
+            raise WorkerError(
+                f"respawn of shard {shard} of {self.name!r} failed: "
+                f"{error}") from error
+        if probing:
+            logger.warning(
+                "circuit breaker for shard %d of %r closed after "
+                "half-open probe", shard, self.name)
+            breaker.record_success()
+        self._handles[shard] = handle
+        self._restarts[shard] += 1
+        timestamps = self._restarted_at[shard]
+        timestamps.append(time.time())
+        del timestamps[:-10]  # keep the last 10 for /healthz
+        logger.info("restarted worker for shard %d of %r "
+                    "(restart #%d: %s)",
+                    shard, self.name, self._restarts[shard], reason)
+        return handle
 
     def _probe(self, handle: WorkerHandle) -> None:
         """One ping round-trip a fresh spawn must pass before being trusted."""
@@ -962,7 +987,13 @@ class ShardWorkerSupervisor:
         ignore it are terminated, then killed.  After this returns, no
         worker process of this supervisor is running.
         """
-        self._closed = True
+        with self._respawn_lock:
+            self._closed = True
+            respawns = [respawn for respawn in self._respawns if respawn]
+        # An in-flight respawn adopts its worker into the fleet before its
+        # Future completes, so waiting first leaves that worker to the
+        # reaping below instead of orphaning it.
+        wait_futures(respawns)
         with self._spawn_lock:
             handles, self._handles = \
                 list(self._handles), [None] * self.n_shards

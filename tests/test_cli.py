@@ -179,24 +179,19 @@ class TestIntervalKernelOption:
         assert captured["kernel"] == "exact"
 
     def test_serve_threads_kernel_into_app(self, matrix_csv, tmp_path, capsys, monkeypatch):
-        from repro.serve.http import ServingHTTPServer
+        from repro.serve.async_http import AsyncServingServer
 
         path, _ = matrix_csv
         store = tmp_path / "store"
         main(["decompose", "--csv", str(path), "--rank", "2",
               "--save-model", "m", "--store", str(store)])
         capsys.readouterr()
-        monkeypatch.setattr(ServingHTTPServer, "serve_forever", lambda self: None)
         holder = {}
-        original_init = ServingHTTPServer.__init__
-
-        def recording_init(self, *args, **kwargs):
-            original_init(self, *args, **kwargs)
-            holder["server"] = self
-
-        monkeypatch.setattr(ServingHTTPServer, "__init__", recording_init)
+        monkeypatch.setattr(AsyncServingServer, "run",
+                            lambda self, ready=None: holder.update(server=self))
         assert main(["serve", "--store", str(store), "--port", "0",
                      "--interval-kernel", "rump"]) == 0
+        holder["server"].stop()
         assert holder["server"].app.kernel.key == "rump"
 
 
@@ -264,13 +259,48 @@ class TestServingCommands:
         assert "no models" in capsys.readouterr().out
 
     def test_serve_starts_and_announces_models(self, published, capsys, monkeypatch):
-        from repro.serve.http import ServingHTTPServer
+        # With --port 0 the announced address is the bound one, printed once
+        # the listener accepts connections.
+        import re
+        import time
+        import urllib.request
+
+        from repro.serve.async_http import AsyncServingServer
 
         store, _ = published
-        monkeypatch.setattr(ServingHTTPServer, "serve_forever", lambda self: None)
-        assert main(["serve", "--store", str(store), "--port", "0"]) == 0
-        out = capsys.readouterr().out
-        assert "serving 1 model(s)" in out and "m1" in out
+        servers = []
+        original_run = AsyncServingServer.run
+
+        def recording_run(self, ready=None):
+            servers.append(self)
+            original_run(self, ready)
+
+        monkeypatch.setattr(AsyncServingServer, "run", recording_run)
+        exit_codes = []
+        thread = threading.Thread(target=lambda: exit_codes.append(
+            main(["serve", "--store", str(store), "--port", "0"])))
+        thread.start()
+        out = ""
+        try:
+            deadline = time.monotonic() + 30.0
+            while "m1" not in out and time.monotonic() < deadline:
+                time.sleep(0.01)
+                out += capsys.readouterr().out
+            assert "serving 1 model(s)" in out and "m1" in out
+            match = re.search(r"on http://127\.0\.0\.1:(\d+)", out)
+            assert match is not None
+            port = int(match.group(1))
+            assert port != 0
+            with urllib.request.urlopen(
+                    f"http://127.0.0.1:{port}/healthz", timeout=10) as response:
+                assert response.status == 200
+        finally:
+            while not servers and thread.is_alive():
+                time.sleep(0.01)
+            if servers:
+                servers[0].stop()
+            thread.join(timeout=10)
+        assert exit_codes == [0]
 
     def test_query_round_trip_against_live_server(self, published, matrix_csv, capsys):
         from repro.serve import QueryEngine, create_server
@@ -279,17 +309,13 @@ class TestServingCommands:
         store, matrix = published
         path, _ = matrix_csv
         server = create_server(str(store), port=0)
-        host, port = server.server_address[:2]
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        host, port = server.start_background()
         try:
             exit_code = main(["query", "--url", f"http://{host}:{port}",
                               "--model", "m1", "--op", "recommend", "-k", "3",
                               "--csv", str(path)])
         finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
+            server.stop()
         assert exit_code == 0
         payload = json.loads(capsys.readouterr().out)
         decomposition, _ = ModelStore(store).load("m1")
@@ -309,17 +335,13 @@ class TestServingCommands:
         store, _ = published
         path, _ = matrix_csv
         server = create_server(str(store), port=0)
-        host, port = server.server_address[:2]
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        host, port = server.start_background()
         try:
             with pytest.raises(SystemExit, match="404"):
                 main(["query", "--url", f"http://{host}:{port}",
                       "--model", "ghost", "--csv", str(path)])
         finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
+            server.stop()
 
 
 @pytest.fixture

@@ -1,9 +1,13 @@
 """Tests of the asyncio serving front end.
 
-Three properties anchor the suite:
+Four properties anchor the suite:
 
-* **byte parity** — every response body (success *and* error paths) is
-  byte-identical to the threaded server's over the same store;
+* **byte parity** — every response (status *and* body, success and error
+  paths) is byte-identical to the in-process :class:`ServingApp`'s answer
+  serialized with ``json.dumps``;
+* **one write per response** — each response reaches the transport in a
+  single write, on a socket with ``TCP_NODELAY`` set, so keep-alive
+  clients never wait out Nagle's algorithm;
 * **slow-client isolation** — clients trickling their requests occupy
   coroutines, not executor threads, so healthy clients keep (almost) full
   throughput while a crowd of slow clients is connected;
@@ -14,6 +18,7 @@ Three properties anchor the suite:
 
 import http.client
 import json
+import logging
 import socket
 import threading
 import time
@@ -21,9 +26,10 @@ import time
 import pytest
 
 from repro.core import registry
+from repro.core.isvd import isvd
 from repro.interval.random import random_interval_matrix
-from repro.serve.async_http import AsyncServingServer, create_async_server
-from repro.serve.http import ServingApp, create_server
+from repro.serve.async_http import AsyncServingServer, create_server
+from repro.serve.http import RequestError, ServingApp
 from repro.serve.shard import ShardedModelStore
 from repro.serve.store import ModelStore
 
@@ -48,56 +54,71 @@ def model_matrix():
     return matrix, decomposition
 
 
+def _in_process(app, method, path, payload=None):
+    """The (status, body) the front end must send for one request: the
+    in-process app's answer, serialized the way the server serializes it."""
+    routes = {("GET", "/models"): app.models,
+              ("POST", "/recommend"): app.recommend,
+              ("POST", "/neighbors"): app.neighbors}
+    handler = routes.get((method, path))
+    if handler is None:
+        return 404, json.dumps({"error": f"unknown path {path!r}"}).encode()
+    try:
+        result = handler() if payload is None else handler(payload)
+    except RequestError as error:
+        return error.status, json.dumps({"error": str(error)}).encode()
+    return 200, json.dumps(result, allow_nan=False).encode()
+
+
 @pytest.fixture(scope="module")
-def both_servers(tmp_path_factory, model_matrix):
-    """The async and the threaded server over one shared store."""
+def served(tmp_path_factory, model_matrix):
+    """A started server and an in-process app over one shared store."""
     matrix, decomposition = model_matrix
     store = ModelStore(tmp_path_factory.mktemp("store"))
     store.save("m1", decomposition, matrix=matrix)
 
-    threaded = create_server(store, port=0, max_batch=8, batch_delay=0.001)
-    threaded_address = threaded.server_address[:2]
-    thread = threading.Thread(target=threaded.serve_forever, daemon=True)
-    thread.start()
-
-    asynchronous = create_async_server(store, port=0, max_batch=8,
-                                       batch_delay=0.001)
-    async_address = asynchronous.start_background()
+    app = ServingApp(store)
+    server = create_server(store, port=0, max_batch=8, batch_delay=0.001)
+    address = server.start_background()
     try:
-        yield {"matrix": matrix, "async": async_address,
-               "threaded": threaded_address}
+        yield {"matrix": matrix, "address": address, "app": app,
+               "store": store}
     finally:
-        asynchronous.stop()
-        threaded.shutdown()
-        threaded.server_close()
-        threaded.app.close()
-        thread.join(timeout=5)
+        server.stop()
+        app.close()
 
 
 class TestByteParityWithThreadedServer:
-    def _assert_both(self, servers, method, path, payload=None):
-        expected = _request(servers["threaded"], method, path, payload)
-        actual = _request(servers["async"], method, path, payload)
+    """Byte parity with the in-process app (the class keeps its historical
+    name so test ids stay stable)."""
+
+    def _assert_both(self, served, method, path, payload=None):
+        expected = _in_process(served["app"], method, path, payload)
+        actual = _request(served["address"], method, path, payload)
         assert actual == expected  # status AND body, byte for byte
         return actual
 
-    def test_models_and_healthz(self, both_servers):
-        self._assert_both(both_servers, "GET", "/models")
-        status, body = _request(both_servers["async"], "GET", "/healthz")
+    def test_models_and_healthz(self, served):
+        self._assert_both(served, "GET", "/models")
+        status, body = _request(served["address"], "GET", "/healthz")
         assert status == 200
         assert json.loads(body)["status"] == "ok"
 
-    def test_recommend_and_neighbors(self, both_servers):
-        matrix = both_servers["matrix"]
+    def test_recommend_and_neighbors(self, served):
+        matrix = served["matrix"]
         payload = {"model": "m1", "k": 4,
                    "lower": matrix.lower.tolist(),
                    "upper": matrix.upper.tolist()}
-        self._assert_both(both_servers, "POST", "/recommend", payload)
-        self._assert_both(both_servers, "POST", "/neighbors",
-                          dict(payload, k=3))
+        self._assert_both(served, "POST", "/recommend", payload)
+        self._assert_both(served, "POST", "/neighbors", dict(payload, k=3))
+        single = {"model": "m1", "k": 4,
+                  "lower": matrix.lower[0].tolist(),
+                  "upper": matrix.upper[0].tolist()}
+        self._assert_both(served, "POST", "/recommend", single)
+        self._assert_both(served, "POST", "/neighbors", single)
 
-    def test_error_paths_match(self, both_servers):
-        matrix = both_servers["matrix"]
+    def test_error_paths_match(self, served):
+        matrix = served["matrix"]
         rows = {"lower": matrix.lower.tolist(),
                 "upper": matrix.upper.tolist()}
         for method, path, payload in [
@@ -107,11 +128,11 @@ class TestByteParityWithThreadedServer:
             ("POST", "/nowhere", {"model": "m1"}),
             ("GET", "/nowhere", None),
         ]:
-            status, _ = self._assert_both(both_servers, method, path, payload)
+            status, _ = self._assert_both(served, method, path, payload)
             assert status in (400, 404)
 
-    def test_keep_alive_carries_multiple_requests(self, both_servers):
-        connection = http.client.HTTPConnection(*both_servers["async"],
+    def test_keep_alive_carries_multiple_requests(self, served):
+        connection = http.client.HTTPConnection(*served["address"],
                                                 timeout=10)
         try:
             for _ in range(3):
@@ -121,6 +142,51 @@ class TestByteParityWithThreadedServer:
                 response.read()  # drain so the connection is reusable
         finally:
             connection.close()
+
+
+class TestOneWritePerResponse:
+    def test_keep_alive_responses_leave_in_one_write_with_nodelay(
+            self, served):
+        nodelay = []
+        writes = []
+
+        class RecordingServer(AsyncServingServer):
+            async def _handle_connection(self, reader, writer):
+                sock = writer.get_extra_info("socket")
+                transport = writer.transport
+                write = transport.write
+
+                def recording_write(data):
+                    nodelay.append(sock.getsockopt(socket.IPPROTO_TCP,
+                                                   socket.TCP_NODELAY))
+                    writes.append(bytes(data))
+                    write(data)
+
+                transport.write = recording_write
+                await super()._handle_connection(reader, writer)
+
+        server = RecordingServer(served["store"], port=0)
+        address = server.start_background()
+        matrix = served["matrix"]
+        body = json.dumps({"model": "m1", "k": 3,
+                           "lower": matrix.lower[0].tolist(),
+                           "upper": matrix.upper[0].tolist()}).encode()
+        replies = []
+        connection = http.client.HTTPConnection(*address, timeout=10)
+        try:
+            for _ in range(2):
+                connection.request("POST", "/recommend", body=body)
+                response = connection.getresponse()
+                assert response.status == 200
+                replies.append(response.read())
+        finally:
+            connection.close()
+            server.stop()
+        assert len(writes) == 2
+        assert len(nodelay) == 2 and all(nodelay)
+        for write, reply in zip(writes, replies):
+            assert write.startswith(b"HTTP/1.1 200 OK\r\n")
+            assert write.endswith(b"\r\n\r\n" + reply)
 
 
 class TestProtocolErrors:
@@ -135,49 +201,107 @@ class TestProtocolErrors:
                     return b"".join(chunks)
                 chunks.append(chunk)
 
-    def test_malformed_request_line_is_400(self, both_servers):
-        reply = self._raw(both_servers["async"], b"NONSENSE\r\n\r\n")
+    def test_malformed_request_line_is_400(self, served):
+        reply = self._raw(served["address"], b"NONSENSE\r\n\r\n")
         assert reply.startswith(b"HTTP/1.1 400")
 
-    def test_bad_json_body_is_400(self, both_servers):
+    def test_bad_json_body_is_400(self, served):
         body = b"{not json"
         head = (f"POST /recommend HTTP/1.1\r\nHost: x\r\n"
                 f"Content-Length: {len(body)}\r\n\r\n").encode()
-        reply = self._raw(both_servers["async"], head + body)
+        reply = self._raw(served["address"], head + body)
         assert reply.startswith(b"HTTP/1.1 400")
 
-    def test_non_object_json_body_is_400(self, both_servers):
+    def test_non_object_json_body_is_400(self, served):
         body = b"[1, 2, 3]"
         head = (f"POST /recommend HTTP/1.1\r\nHost: x\r\n"
                 f"Content-Length: {len(body)}\r\n\r\n").encode()
-        reply = self._raw(both_servers["async"], head + body)
+        reply = self._raw(served["address"], head + body)
         assert reply.startswith(b"HTTP/1.1 400")
 
-    def test_invalid_content_length_is_400(self, both_servers):
-        reply = self._raw(both_servers["async"],
+    def test_invalid_content_length_is_400(self, served):
+        reply = self._raw(served["address"],
                           b"POST /recommend HTTP/1.1\r\nHost: x\r\n"
                           b"Content-Length: banana\r\n\r\n")
         assert reply.startswith(b"HTTP/1.1 400")
 
-    def test_oversized_body_is_413_before_reading_it(self, both_servers):
-        reply = self._raw(both_servers["async"],
+    def test_oversized_body_is_413_before_reading_it(self, served):
+        reply = self._raw(served["address"],
                           b"POST /recommend HTTP/1.1\r\nHost: x\r\n"
                           b"Content-Length: 99999999999\r\n\r\n")
         assert reply.startswith(b"HTTP/1.1 413")
 
-    def test_chunked_bodies_are_rejected(self, both_servers):
-        reply = self._raw(both_servers["async"],
+    def test_chunked_bodies_are_rejected(self, served):
+        reply = self._raw(served["address"],
                           b"POST /recommend HTTP/1.1\r\nHost: x\r\n"
                           b"Transfer-Encoding: chunked\r\n\r\n")
         assert reply.startswith(b"HTTP/1.1 400")
 
-    def test_clean_disconnect_gets_no_error_response(self, both_servers):
+    def test_expect_100_continue_is_answered_before_the_body(self, served):
+        payload = {"model": "m1", "k": 3,
+                   "lower": served["matrix"].lower[0].tolist(),
+                   "upper": served["matrix"].upper[0].tolist()}
+        body = json.dumps(payload).encode()
+        with socket.create_connection(served["address"], timeout=10) as raw:
+            raw.sendall(b"POST /recommend HTTP/1.1\r\nHost: x\r\n"
+                        b"Expect: 100-continue\r\nConnection: close\r\n"
+                        + f"Content-Length: {len(body)}\r\n\r\n".encode())
+            with raw.makefile("rb") as replies:
+                # The interim line arrives while the body is still unsent.
+                assert replies.readline() == b"HTTP/1.1 100 Continue\r\n"
+                assert replies.readline() == b"\r\n"
+                raw.sendall(body)
+                reply = replies.read()
+        head, _, answer = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert (200, answer) == _in_process(served["app"], "POST",
+                                            "/recommend", payload)
+
+    def test_clean_disconnect_gets_no_error_response(self, served):
         # Opening and closing without sending anything is not an error the
         # server should answer (or log a traceback for).
-        with socket.create_connection(both_servers["async"], timeout=10):
+        with socket.create_connection(served["address"], timeout=10):
             pass
-        status, _ = _request(both_servers["async"], "GET", "/models")
+        status, _ = _request(served["address"], "GET", "/models")
         assert status == 200  # server is unbothered
+
+
+class TestStatusLinesAndLogging:
+    def test_dtype_pin_refusal_is_409_conflict(self, tmp_path, model_matrix):
+        matrix, _ = model_matrix
+        store = ModelStore(tmp_path / "models")
+        store.save("m32", isvd(matrix, 5, method="isvd4", target="b",
+                               dtype="float32"), matrix=matrix)
+        server = create_server(store, port=0, dtype="float64")
+        address = server.start_background()
+        body = json.dumps({"model": "m32", "k": 2,
+                           "lower": matrix.lower[0].tolist(),
+                           "upper": matrix.upper[0].tolist()}).encode()
+        try:
+            with socket.create_connection(address, timeout=10) as raw:
+                raw.sendall(b"POST /recommend HTTP/1.1\r\nHost: x\r\n"
+                            b"Connection: close\r\n"
+                            + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                            + body)
+                with raw.makefile("rb") as replies:
+                    reply = replies.readline()
+        finally:
+            server.stop()
+        assert reply == b"HTTP/1.1 409 Conflict\r\n"
+
+    def test_verbose_logs_method_path_and_status(self, served, caplog):
+        server = create_server(served["store"], port=0, verbose=True)
+        address = server.start_background()
+        try:
+            with caplog.at_level(logging.INFO,
+                                 logger="repro.serve.async_http"):
+                status, _ = _request(address, "GET", "/nowhere")
+        finally:
+            server.stop()
+        assert status == 404
+        messages = [record.getMessage() for record in caplog.records
+                    if record.name == "repro.serve.async_http"]
+        assert "GET /nowhere -> 404" in messages
 
 
 class TestSlowClientsDoNotStarveHealthyOnes:
@@ -255,7 +379,7 @@ class TestHitlessReshard:
         matrix, decomposition = model_matrix
         store = ShardedModelStore(tmp_path / "models")
         store.save_sharded("m1", decomposition, 2, matrix=matrix)
-        server = create_async_server(store, port=0, max_batch=8,
+        server = create_server(store, port=0, max_batch=8,
                                      batch_delay=0.001, workers=True)
         address = server.start_background()
         payload = {"model": "m1", "k": 4,

@@ -30,7 +30,7 @@ import pytest
 
 from repro.core import registry
 from repro.interval.random import random_interval_matrix
-from repro.serve.async_http import create_async_server
+from repro.serve.async_http import create_server
 from repro.serve.resilience import RetryPolicy
 from repro.serve.shard import ShardedModelStore
 
@@ -83,8 +83,7 @@ def payloads(model):
 @pytest.fixture(scope="module")
 def reference(store, payloads):
     """Ground-truth bodies from the in-process (fault-free) router."""
-    server = create_async_server(store, port=0, max_batch=8,
-                                 batch_delay=0.001)
+    server = create_server(store, port=0, max_batch=8, batch_delay=0.001)
     address = server.start_background()
     try:
         bodies = {}
@@ -100,10 +99,10 @@ def reference(store, payloads):
 def _chaos_server(store, faults, *, degraded="fail", request_timeout=5.0,
                   **worker_overrides):
     options = dict(FAST_WORKERS, faults=faults, **worker_overrides)
-    server = create_async_server(store, port=0, max_batch=8,
-                                 batch_delay=0.001, workers=True,
-                                 request_timeout=request_timeout,
-                                 degraded=degraded, worker_options=options)
+    server = create_server(store, port=0, max_batch=8,
+                           batch_delay=0.001, workers=True,
+                           request_timeout=request_timeout,
+                           degraded=degraded, worker_options=options)
     return server, server.start_background()
 
 
@@ -120,10 +119,21 @@ class TestCrashChaosKeepsBytesExact:
         try:
             outcomes = []  # (status, body, elapsed) triples, all threads
             errors = []
-            stop_at = time.monotonic() + 6.0
+            # Traffic runs until enough successes, not for a fixed window:
+            # every crash costs a worker respawn, whose duration depends on
+            # the host, so a success count per window would be a timing
+            # threshold.  The deadline only bounds a fleet that stopped
+            # serving altogether.
+            wanted = 10
+            give_up_at = time.monotonic() + 120.0
+
+            def successes_so_far():
+                return sum(1 for status, _, _ in list(outcomes)
+                           if status == 200)
 
             def hammer():
-                while time.monotonic() < stop_at:
+                while (successes_so_far() < wanted
+                       and time.monotonic() < give_up_at):
                     started = time.monotonic()
                     try:
                         status, body, _ = _request(
@@ -145,7 +155,7 @@ class TestCrashChaosKeepsBytesExact:
             statuses = [status for status, _, _ in outcomes]
             successes = [body for status, body, _ in outcomes
                          if status == 200]
-            assert len(successes) >= 10  # the fleet kept serving
+            assert len(successes) >= wanted  # the fleet kept serving
             assert set(statuses) <= {200, 503, 504}  # crash never leaks a 500
             # The headline invariant: zero non-degraded wrong bytes.
             assert all(body == reference["recommend"] for body in successes)
@@ -174,6 +184,16 @@ class TestStallsBecomeDeadlines:
             store, "before_reply=stall(seconds=3,op=candidates)",
             request_timeout=1.0)
         try:
+            # Warm the fleet first, so the timer below measures the
+            # deadline, not the lazy worker spawn: spawning the fleet takes
+            # longer than the 1s deadline itself, so the engine is loaded
+            # directly, then one unfaulted request must come back exact.
+            supervisor = server.app.engine("m").supervisor
+            status, body, _ = _request(address, "POST", "/recommend",
+                                       payloads["recommend"])
+            assert (status, body) == (200, reference["recommend"])
+            restarts_before = sum(worker["restarts"]
+                                  for worker in supervisor.liveness())
             started = time.monotonic()
             status, body, _ = _request(address, "POST", "/neighbors",
                                        payloads["neighbors"])
@@ -181,6 +201,18 @@ class TestStallsBecomeDeadlines:
             assert status == 504
             assert "deadline" in json.loads(body)["error"]
             assert elapsed < 2.5  # deadline cut the 3s stall short
+            # The timed-out exchanges left their workers dead.  Wait until
+            # the supervisor's monitor has respawned them (a spawn lasts as
+            # long as the worker's imports), then the item-space query must
+            # come back exact on the first try.
+            give_up_at = time.monotonic() + 60.0
+            while time.monotonic() < give_up_at:
+                workers = supervisor.liveness()
+                if (all(worker["alive"] for worker in workers)
+                        and sum(worker["restarts"] for worker in workers)
+                        > restarts_before):
+                    break
+                time.sleep(0.05)
             status, body, _ = _request(address, "POST", "/recommend",
                                        payloads["recommend"])
             assert (status, body) == (200, reference["recommend"])

@@ -16,7 +16,8 @@ import pytest
 from repro.core import registry
 from repro.interval.array import IntervalMatrix
 from repro.interval.random import random_interval_matrix
-from repro.serve.http import ServingApp, create_server, rows_from_payload
+from repro.serve.async_http import create_server
+from repro.serve.http import ServingApp, rows_from_payload
 from repro.serve.query import QueryEngine
 from repro.serve.store import ModelStore
 
@@ -32,9 +33,7 @@ def served():
         store = ModelStore(directory)
         store.save("m1", decomposition, matrix=matrix)
         server = create_server(store, port=0, max_batch=8, batch_delay=0.01)
-        host, port = server.server_address[:2]
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        host, port = server.start_background()
         try:
             yield {
                 "url": f"http://{host}:{port}",
@@ -42,9 +41,7 @@ def served():
                 "matrix": matrix,
             }
         finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
+            server.stop()
 
 
 def _post(url, path, payload):
@@ -315,6 +312,41 @@ class TestServingAppLifecycle:
             direct = engine.top_k_items(row, k)
             assert result.indices.tolist() == direct.indices.tolist()
             assert result.scores.tolist() == direct.scores.tolist()
+
+
+class TestOneStoreReadPerRequest:
+    def test_single_row_request_revalidates_the_store_once(
+            self, tmp_path, small_interval_matrix):
+        # The request resolves (and width-checks against) one engine
+        # version; its micro-batch runs on that engine instead of
+        # re-reading the store.
+        class CountingStore(ModelStore):
+            calls = 0
+
+            def record(self, name):
+                CountingStore.calls += 1
+                return super().record(name)
+
+        matrix = small_interval_matrix
+        store = CountingStore(tmp_path / "store")
+        store.save("m", registry.get("isvd4").fit(matrix, 4, target="b"),
+                   matrix=matrix)
+        batched = ServingApp(store, batch_delay=0.0)
+        unbatched = ServingApp(store, max_batch=1)
+        payloads = [{"model": "m", "k": 3,
+                     "lower": matrix.lower[i].tolist(),
+                     "upper": matrix.upper[i].tolist()}
+                    for i in range(matrix.shape[0])]
+        for operation in ("recommend", "neighbors"):
+            getattr(batched, operation)(payloads[0])  # first load: cache miss
+            for payload in payloads:
+                before = CountingStore.calls
+                response = getattr(batched, operation)(payload)
+                assert CountingStore.calls - before == 1
+                expected = getattr(unbatched, operation)(payload)
+                assert json.dumps(response) == json.dumps(expected)
+        assert batched.healthz()["batching"]["m:recommend"][
+            "requests_served"] == matrix.shape[0] + 1
 
 
 class TestPayloadParsing:
