@@ -16,18 +16,20 @@ The subsystem has seven layers, each usable on its own (see
   :class:`~repro.serve.shard.ShardPlanner` splits a model along the user
   dimension, :class:`~repro.serve.shard.ShardedModelStore` publishes
   generation-versioned per-shard archives (hitless republish), and
-  :class:`~repro.serve.shard.ShardedQueryEngine` scatter-gathers queries
-  across per-shard engines with a byte-stable merge;
+  :class:`~repro.serve.shard.ShardedQueryEngine` — the one scatter-gather
+  router — scatters queries across its shards and gathers with a
+  byte-stable merge, calling each shard through one small interface, so
+  the same router serves in-process shards and worker processes;
 * :mod:`repro.serve.protocol` — the length-prefixed npy frame format
   between the front end and shard workers (no pickle on the wire);
 * :mod:`repro.serve.worker` — per-shard **worker processes**:
   :class:`~repro.serve.worker.ShardWorkerSupervisor` spawns, health-checks
   and restarts one worker per shard, and
-  :class:`~repro.serve.worker.WorkerShardedQueryEngine` routes queries
-  across them with the same byte-identical answers as the in-process
-  router; :mod:`repro.serve.resilience` supplies the deadlines, retry
-  backoff and per-shard circuit breakers that keep one stalled or
-  crash-looping worker from taking the service with it, and
+  :class:`~repro.serve.worker.WorkerShardedQueryEngine` is the router over
+  them — it only builds worker shards, so every answer is the router's;
+  :mod:`repro.serve.resilience` supplies the deadlines, retry backoff,
+  per-shard circuit breakers and shard-call errors that keep one stalled
+  or crash-looping worker from taking the service with it, and
   :mod:`repro.serve.faults` is the deterministic fault-injection harness
   the chaos test tier proves all of it against;
 * :mod:`repro.serve.http` / :mod:`repro.serve.async_http` — a stdlib-only
@@ -64,20 +66,17 @@ from repro.serve.faults import FaultInjected, FaultPlan, FaultSpecError
 from repro.serve.resilience import (
     CircuitBreaker,
     Deadline,
+    DeadlineExceededError,
     RetryPolicy,
+    ShardUnavailableError,
+    WorkerError,
+    WorkerRequestError,
+    collect_missing_shards,
     current_deadline,
     deadline_scope,
 )
 from repro.serve.store import ModelRecord, ModelStore, ModelStoreError
-from repro.serve.worker import (
-    DeadlineExceededError,
-    ShardUnavailableError,
-    ShardWorkerSupervisor,
-    WorkerError,
-    WorkerRequestError,
-    WorkerShardedQueryEngine,
-    collect_missing_shards,
-)
+from repro.serve.worker import ShardWorkerSupervisor, WorkerShardedQueryEngine
 
 __all__ = [
     "AsyncServingServer",

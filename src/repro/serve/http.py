@@ -15,12 +15,13 @@ endpoint pairs, or as a single ``"row": [...]`` — single rows go through the
 :class:`~repro.serve.batching.MicroBatcher`, so concurrent clients share one
 BLAS call without changing any result.
 
-Models are served transparently whatever their on-disk format: single-file
-models get a :class:`~repro.serve.query.QueryEngine`, sharded models
-(published by :class:`~repro.serve.shard.ShardedModelStore`) get a
-:class:`~repro.serve.shard.ShardedQueryEngine` scatter-gather router — the
-two return byte-identical answers, so the wire format of a response does not
-depend on how the model is stored.
+Every model is served through the one scatter-gather router,
+:class:`~repro.serve.shard.ShardedQueryEngine`, whatever its on-disk format:
+a sharded model (published by :class:`~repro.serve.shard.ShardedModelStore`)
+gets one shard per row range — in-process, or one worker process each — and
+a single-file model is a one-shard router.  Every backend returns
+byte-identical answers, so the wire format of a response does not depend on
+how the model is stored or served.
 
 This module holds the transport-free application (:class:`ServingApp`); the
 HTTP front end that serves it is :mod:`repro.serve.async_http` — standard
@@ -45,22 +46,16 @@ from repro.serve.query import (
     top_k,
     top_k_from_candidates,
 )
-from repro.serve.resilience import deadline_scope
-from repro.serve.shard import ShardedModelStore, ShardedQueryEngine
-from repro.serve.store import ModelStore, ModelStoreError
-from repro.serve.worker import (
+from repro.serve.resilience import (
     DeadlineExceededError,
     ShardUnavailableError,
     WorkerError,
-    WorkerShardedQueryEngine,
     collect_missing_shards,
+    deadline_scope,
 )
-
-#: Any engine type: the single-model engine, the in-process scatter-gather
-#: router, or the worker-process-backed router.  They share the query API
-#: and return byte-identical results, so the HTTP layer never needs to know
-#: whether (or how) a model is sharded.
-EngineLike = Union[QueryEngine, ShardedQueryEngine, WorkerShardedQueryEngine]
+from repro.serve.shard import ShardedModelStore, ShardedQueryEngine
+from repro.serve.store import ModelStore, ModelStoreError
+from repro.serve.worker import WorkerShardedQueryEngine
 
 #: Upper bound on accepted request bodies (a 1k-item interval row is ~50 kB).
 MAX_BODY_BYTES = 16 * 1024 * 1024
@@ -177,7 +172,7 @@ class ServingApp:
         self.degraded = degraded
         self.worker_options = dict(worker_options or {})
         self._lock = threading.Lock()
-        self._engines: Dict[str, Tuple[object, EngineLike, object]] = {}
+        self._engines: Dict[str, Tuple[object, ShardedQueryEngine, object]] = {}
         self._batchers: Dict[Tuple[str, str, Tuple[object, ...]],
                              MicroBatcher] = {}
         #: Per-model single-flight locks: loading a model is O(model bytes)
@@ -208,25 +203,30 @@ class ServingApp:
         """The cache key a model's current publish would be stored under."""
         return self._version_of(self._current_record(name))
 
-    def engine(self, name: str) -> EngineLike:
+    def engine(self, name: str) -> Union[ShardedQueryEngine, QueryEngine]:
         """Engine for a published model, reloaded when the model is republished.
 
+        Every model serves through a :class:`ShardedQueryEngine` router.
         Sharded models (``record.shards`` set) load through
-        :class:`ShardedModelStore` and serve through a
-        :class:`ShardedQueryEngine` router; single-file models keep the plain
-        :class:`QueryEngine`.  Both return byte-identical answers, so clients
-        cannot tell (and need not care) which format backs a model.
+        :class:`ShardedModelStore`, and this returns their router; a
+        single-file model is a one-shard router, and this returns that
+        shard's :class:`QueryEngine`, which holds the model's decomposition.
+        Both answer byte-identically, so clients cannot tell (and need not
+        care) which format backs a model.
 
         The cached engine is validated against the store's current metadata on
         every access (one small JSON read), so ``repro decompose --save-model``
         over an existing name takes effect without restarting the server.
         A model deleted mid-request surfaces as 404, not a dropped connection.
         """
-        return self._resolve(name)[1]
+        _, router, record = self._resolve(name)
+        return router.engines[0] if record.shards is None else router
 
-    def _resolve(self, name: str) -> Tuple[Tuple[object, ...], EngineLike]:
-        """:meth:`engine` plus the version key it was validated against —
-        one store metadata read per call."""
+    def _resolve(self, name: str
+                 ) -> Tuple[Tuple[object, ...], ShardedQueryEngine, object]:
+        """``(version, router, record)`` of a model: the router that serves
+        it, the version key and record it was validated against — one store
+        metadata read per call."""
         # (The initial version read happens outside the single-flight lock —
         # cheap cache hits must not serialize — and is re-read under the
         # lock before any load.)
@@ -235,7 +235,7 @@ class ServingApp:
             cached = self._engines.get(name)
             load_lock = self._load_locks.setdefault(name, threading.Lock())
         if cached is not None and cached[0] == version:
-            return version, cached[1]
+            return cached
         # Single-flight per model: loading is O(model bytes), so a burst of
         # first requests (or requests racing a republish) must produce one
         # load, not one per thread.  Different models still load in parallel.
@@ -249,7 +249,7 @@ class ServingApp:
             with self._lock:
                 cached = self._engines.get(name)
             if cached is not None and cached[0] == version:
-                return version, cached[1]
+                return cached
             if self.dtype is not None and record.dtype != self.dtype:
                 raise RequestError(
                     f"model {name!r} is stored as {record.dtype} but this "
@@ -259,7 +259,7 @@ class ServingApp:
                 worker_options.setdefault("dtype", self.dtype)
             try:
                 if record.shards is not None and self.workers:
-                    engine: EngineLike = WorkerShardedQueryEngine(
+                    engine: ShardedQueryEngine = WorkerShardedQueryEngine(
                         ShardedModelStore(self.store.directory), name,
                         kernel=self.kernel, degraded=self.degraded,
                         **worker_options)
@@ -271,7 +271,8 @@ class ServingApp:
                         kernel=self.kernel)
                 else:
                     decomposition, _ = self.store.load(name)
-                    engine = QueryEngine(decomposition, kernel=self.kernel)
+                    engine = ShardedQueryEngine([decomposition],
+                                                kernel=self.kernel)
             except (ModelStoreError, OSError, BadZipFile, KeyError,
                     ValueError, WorkerError) as error:
                 # Covers readers racing a delete (metadata read above,
@@ -283,25 +284,20 @@ class ServingApp:
                 self._evict(name)
                 raise RequestError(f"model {name!r} is not loadable: {error}",
                                    status=404) from error
+            resolved = (version, engine, record)
             with self._lock:
                 displaced = self._engines.get(name)
-                self._engines[name] = (version, engine, record)
+                self._engines[name] = resolved
                 # Batchers are bound to one publish's engine; drop the
                 # displaced ones so they cannot pin its factors.
                 for key in [k for k in self._batchers
                             if k[0] == name and k[2] != version]:
                     del self._batchers[key]
         if displaced is not None:
-            self._close_engine(displaced[1])
-        return version, engine
-
-    @staticmethod
-    def _close_engine(engine: object) -> None:
-        """Release a displaced engine's scatter pool without blocking (the
-        engine keeps answering in-flight queries, serially)."""
-        close = getattr(engine, "close", None)
-        if close is not None:
-            close(wait=False)
+            # Release the displaced router's scatter pool without blocking
+            # (it keeps answering in-flight queries, serially).
+            displaced[1].close(wait=False)
+        return resolved
 
     def _evict(self, name: str) -> None:
         """Drop a model's cached engine and batchers (e.g. after deletion).
@@ -318,10 +314,11 @@ class ServingApp:
             for key in [k for k in self._batchers if k[0] == name]:
                 del self._batchers[key]
         if cached is not None:
-            self._close_engine(cached[1])
+            cached[1].close(wait=False)
 
     def _batcher(self, name: str, operation: str,
-                 resolved: Optional[Tuple[Tuple[object, ...], EngineLike]] = None
+                 resolved: Optional[Tuple[Tuple[object, ...],
+                                          ShardedQueryEngine, object]] = None
                  ) -> MicroBatcher:
         """The micro-batcher for one publish of a model and one operation.
 
@@ -330,7 +327,7 @@ class ServingApp:
         resolved and width-checked against, so it never re-reads the store
         and never mixes requests validated against two publishes.
         """
-        version, engine = resolved or self._resolve(name)
+        version, engine, _ = resolved or self._resolve(name)
 
         def run_batch(requests):
             # The whole batch executes on the *leader's* thread, so the
@@ -363,27 +360,17 @@ class ServingApp:
                     top_k(scores[i:i + 1], k, largest=True)
                     for i, k in enumerate(ks)
                 ]
-            candidates = getattr(engine, "nearest_neighbor_candidates", None)
-            if candidates is not None:
-                # Sharded engines reduce each shard to top-max(ks) candidates
-                # before the gather, so the batch's working set is
-                # q x (shards * k), not the full q x n distance matrix; the
-                # per-request merge is byte-identical to a direct call for
-                # every k <= max(ks) (top-k lists are prefixes of each other
-                # under the total order).
-                gathered = candidates(stacked, max(ks))
-                results = []
-                for i, k in enumerate(ks):
-                    selected = top_k_from_candidates(
-                        gathered.scores[i:i + 1], gathered.indices[i:i + 1],
-                        k, largest=False)
-                    results.append(TopKResult(selected.indices,
-                                              np.sqrt(selected.scores)))
-                return results
-            squared = engine.neighbor_squared_distances(stacked)
+            # The router reduces each shard to top-max(ks) candidates before
+            # the gather, so the batch's working set is q x (shards * k),
+            # not the full q x n distance matrix; the per-request merge is
+            # byte-identical to a direct call for every k <= max(ks) (top-k
+            # lists are prefixes of each other under the total order).
+            gathered = engine.nearest_neighbor_candidates(stacked, max(ks))
             results = []
             for i, k in enumerate(ks):
-                selected = top_k(squared[i:i + 1], k, largest=False)
+                selected = top_k_from_candidates(
+                    gathered.scores[i:i + 1], gathered.indices[i:i + 1],
+                    k, largest=False)
                 results.append(TopKResult(selected.indices,
                                           np.sqrt(selected.scores)))
             return results
@@ -490,18 +477,16 @@ class ServingApp:
         serving: Dict[str, object] = {}
         degraded = False
         for name, (_, engine, record) in sorted(cached.items()):
+            backend = ("in-process" if record.shards is None
+                       else "workers" if self.workers
+                       else "sharded-threads")
             entry: Dict[str, object] = {
-                "generation": getattr(record, "generation", None),
-                "shards": getattr(record, "shards", None),
-                "backend": ("workers"
-                            if isinstance(engine, WorkerShardedQueryEngine)
-                            else "sharded-threads"
-                            if isinstance(engine, ShardedQueryEngine)
-                            else "in-process"),
+                "generation": record.generation,
+                "shards": record.shards,
+                "backend": backend,
             }
-            liveness = getattr(engine, "liveness", None)
-            if liveness is not None:
-                workers = liveness()
+            if backend == "workers":
+                workers = engine.liveness()
                 entry["workers"] = workers
                 for worker in workers:
                     breaker = worker.get("breaker") or {}
@@ -527,6 +512,4 @@ class ServingApp:
             engines, self._engines = dict(self._engines), {}
             self._batchers.clear()
         for _, engine, _ in engines.values():
-            close = getattr(engine, "close", None)
-            if close is not None:
-                close(wait=True)
+            engine.close(wait=True)

@@ -1,7 +1,8 @@
-"""Resilience primitives for the worker serving path.
+"""Resilience primitives for the sharded serving path.
 
-Three small, independently testable pieces that :mod:`repro.serve.worker`
-composes into its fault-tolerance layer:
+Three small, independently testable pieces that the scatter-gather router
+(:mod:`repro.serve.shard`) and the worker supervisor
+(:mod:`repro.serve.worker`) compose into their fault-tolerance layer:
 
 * :class:`Deadline` — an absolute point on the monotonic clock, threaded
   from the HTTP front ends through the scatter-gather router down to every
@@ -21,9 +22,11 @@ composes into its fault-tolerance layer:
   (*half-open*) to probe with a fresh spawn + ping; success closes the
   breaker, failure re-opens it for another cooldown.
 
-None of these import the worker module — they are mechanism, not policy —
-so they can be unit-tested with fake clocks and reused by future
-multi-host supervisors.
+The module also defines the errors a shard call can raise
+(:class:`WorkerError` and its subclasses) and :func:`collect_missing_shards`,
+the request scope a degraded gather reports dropped shards into.  It imports
+nothing from :mod:`repro` — mechanism, not policy — so it can be
+unit-tested with fake clocks and reused by future multi-host supervisors.
 """
 
 from __future__ import annotations
@@ -33,15 +36,85 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, Optional
+from typing import Callable, Dict, Iterator, Optional, Sequence, Set
 
 __all__ = [
     "CircuitBreaker",
     "Deadline",
+    "DeadlineExceededError",
     "RetryPolicy",
+    "ShardUnavailableError",
+    "WorkerError",
+    "WorkerRequestError",
+    "collect_missing_shards",
     "current_deadline",
     "deadline_scope",
 ]
+
+
+class WorkerError(RuntimeError):
+    """A shard worker failed: bad frame, dead process, or a remote error."""
+
+
+class WorkerRequestError(WorkerError):
+    """The worker itself reported the request as bad (``ok: false``).
+
+    The worker is healthy and the transport is fine — retrying or
+    restarting would only repeat the same rejection, so the supervisor
+    surfaces this immediately and without touching the worker.
+    """
+
+
+class ShardUnavailableError(WorkerError):
+    """A shard cannot serve right now: retries exhausted or breaker open.
+
+    ``retry_after`` is the supervisor's estimate (seconds) of when an
+    attempt could succeed — the HTTP layer forwards it as a ``Retry-After``
+    header on the 503 it maps this error to.
+    """
+
+    def __init__(self, shard: int, message: str, retry_after: float = 1.0):
+        super().__init__(message)
+        self.shard = shard
+        self.retry_after = max(0.0, float(retry_after))
+
+
+class DeadlineExceededError(WorkerError):
+    """The request's end-to-end deadline expired before a shard answered."""
+
+
+# --------------------------------------------------------------------- #
+# Degradation reporting (request-thread-local)
+# --------------------------------------------------------------------- #
+_degradation = threading.local()
+
+
+@contextmanager
+def collect_missing_shards() -> Iterator[Set[int]]:
+    """Collect the shard indices a degraded-mode query had to drop.
+
+    The HTTP layer wraps each request in this scope; routers running in
+    ``degraded="partial"`` mode report dropped shards into it (on the
+    request thread, after the gather).  Routers that never degrade —
+    in-process ones, or worker routers in the default fail-fast mode —
+    simply leave the set empty, so callers need no backend-specific
+    branches.
+    """
+    previous = getattr(_degradation, "missing", None)
+    missing: Set[int] = set()
+    _degradation.missing = missing
+    try:
+        yield missing
+    finally:
+        _degradation.missing = previous
+
+
+def note_missing_shards(shards: Sequence[int]) -> None:
+    """Report dropped shards into the active :func:`collect_missing_shards`
+    scope of this thread (a no-op outside one)."""
+    missing = getattr(_degradation, "missing", None)
+    if missing is not None:
+        missing.update(shards)
 
 
 class Deadline:

@@ -16,10 +16,14 @@ that grows with users — while replicating the item-side factors (``Sigma``,
   per-shard content fingerprints verified on load; a reshard publishes a
   fresh generation and swaps the manifest atomically, so live republish is
   hitless;
-* :class:`ShardedQueryEngine` — a router with the same query API as
-  :class:`~repro.serve.query.QueryEngine` that *scatters* work across one
-  engine per shard (thread fan-out over a shared pool) and *gathers* with a
-  byte-stable merge.
+* :class:`ShardedQueryEngine` — the one scatter-gather router, with the
+  same query API as :class:`~repro.serve.query.QueryEngine`: it *scatters*
+  work across its shards (thread fan-out over a shared pool) and *gathers*
+  with a byte-stable merge.  It calls every shard through one small
+  interface (:data:`ShardCall`, speaking the op set of :func:`_run_op`), so
+  the same router serves in-process shards — one engine per shard, built
+  here — and the worker processes of
+  :class:`~repro.serve.worker.WorkerShardedQueryEngine`.
 
 **Why the gather is byte-stable.**  Every scoring path in the serving layer
 is row-local (einsum fold-in, per-row least squares, element-local
@@ -37,6 +41,7 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
+import operator
 import os
 import threading
 import time
@@ -58,6 +63,13 @@ from repro.serve.query import (
     TopKResult,
     top_k,
     top_k_from_candidates,
+)
+from repro.serve.resilience import (
+    Deadline,
+    ShardUnavailableError,
+    WorkerError,
+    current_deadline,
+    note_missing_shards,
 )
 from repro.serve.store import ModelRecord, ModelStore, ModelStoreError
 
@@ -532,8 +544,102 @@ class ShardedModelStore(ModelStore):
         return merge_shards(shards), manifest.record
 
 
+# --------------------------------------------------------------------- #
+# Shard ops: what one shard computes, defined once for both backends
+# --------------------------------------------------------------------- #
+#: One shard as the router calls it: ``(header, arrays, deadline) -> arrays``
+#: for a request in :func:`_run_op`'s op set.  An in-process shard runs the
+#: op on its :class:`QueryEngine`; a worker shard sends the same frame to its
+#: process through :meth:`~repro.serve.worker.ShardWorkerSupervisor.call`.
+ShardCall = Callable[[Dict[str, object], Sequence[np.ndarray], Optional[Deadline]],
+                     List[np.ndarray]]
+
+
+def _run_op(engine: QueryEngine, row_start: int, op: Optional[object],
+            header: Dict[str, object],
+            arrays: Sequence[np.ndarray]) -> Tuple[Dict[str, object], List[np.ndarray]]:
+    """Execute one shard request against the shard's engine.
+
+    Query rows and folded features arrive as endpoint array pairs; results
+    leave as arrays, so a worker's npy framing round-trips both directions
+    bit-exactly.
+    """
+    if op == "ping":
+        return {"ok": True, "pid": os.getpid()}, []
+    if op == "reconstruct_rows":
+        rows = _interval_pair(arrays, "reconstruct_rows")
+        return {"ok": True}, [engine.reconstruct_rows(rows)]
+    if op == "top_k_items":
+        rows = _interval_pair(arrays, "top_k_items")
+        result = engine.top_k_items(rows, _k_of(header))
+        return {"ok": True}, [result.indices, result.scores]
+    if op == "squared_distances":
+        features = _interval_pair(arrays, "squared_distances")
+        return {"ok": True}, [engine.squared_distances_to_references(features)]
+    if op == "candidates":
+        features = _interval_pair(arrays, "candidates")
+        squared = engine.squared_distances_to_references(features)
+        local = top_k(squared, _k_of(header), largest=False)
+        # Shift to global stored-row indices here, so the gather side never
+        # needs to know which shard a candidate came from.
+        return {"ok": True}, [local.indices + row_start, local.scores]
+    if op == "scores_for_users":
+        if header.get("all"):
+            return {"ok": True}, [engine.scores_for_users()]
+        if len(arrays) != 1:
+            raise WorkerError("scores_for_users expects one index array")
+        return {"ok": True}, [engine.scores_for_users(
+            np.asarray(arrays[0], dtype=int))]
+    raise WorkerError(f"unknown worker op {op!r}")
+
+
+def _interval_pair(arrays: Sequence[np.ndarray], op: str) -> IntervalMatrix:
+    if len(arrays) != 2:
+        raise WorkerError(
+            f"{op} expects a lower/upper endpoint array pair, got "
+            f"{len(arrays)} arrays"
+        )
+    # npy framing preserves dtype on the wire; keep float32 frames float32
+    # so a low-precision fleet computes in its model's storage dtype.
+    lower, upper = np.asarray(arrays[0]), np.asarray(arrays[1])
+    if lower.dtype != np.float32 or upper.dtype != np.float32:
+        lower = np.asarray(lower, dtype=float)
+        upper = np.asarray(upper, dtype=float)
+    return IntervalMatrix(lower, upper, check=False)
+
+
+def _k_of(header: Dict[str, object]) -> int:
+    k = header.get("k")
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise WorkerError(f"'k' must be a positive integer, got {k!r}")
+    return k
+
+
+def _checked_k(k: int) -> int:
+    """``k`` as the plain int a shard header carries, refused below 1 on
+    the caller's thread before any shard is asked."""
+    k = operator.index(k)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return k
+
+
+def _local_shard(engine: QueryEngine, row_start: int) -> ShardCall:
+    """An in-process shard: each op runs on ``engine`` in this process, so
+    there is no socket for a deadline to bound."""
+
+    def call(header, arrays, deadline):
+        return _run_op(engine, row_start, header["op"], header, arrays)[1]
+
+    return call
+
+
+def _joined(blocks: List[np.ndarray], stack: Callable) -> np.ndarray:
+    return blocks[0] if len(blocks) == 1 else stack(blocks)
+
+
 class ShardedQueryEngine:
-    """Scatter-gather router over one :class:`QueryEngine` per row-range shard.
+    """Scatter-gather router over row-range shards.
 
     Mirrors the :class:`QueryEngine` query API (``top_k_items``,
     ``nearest_neighbors``, ``reconstruct_rows``, ``scores_for_users``,
@@ -543,9 +649,9 @@ class ShardedQueryEngine:
     shape:
 
     * *item-space queries* (``top_k_items``, ``reconstruct_rows``) scatter
-      contiguous chunks of the query batch across the shard engines — every
-      shard replicates the item map, and the scoring paths are row-local, so
-      any partition of the batch concatenates to the same bytes;
+      contiguous chunks of the query batch across the shards — every shard
+      replicates the item map, and the scoring paths are row-local, so any
+      partition of the batch concatenates to the same bytes;
     * *reference-space queries* (``nearest_neighbors``) fold the queries in
       once, scatter the distance computation so each shard scores only its
       own row range of stored users, reduce per shard with
@@ -556,9 +662,31 @@ class ShardedQueryEngine:
     * *stored-user queries* (``scores_for_users``) route each index to the
       shard that owns its row range and reassemble rows in query order.
 
-    Scatter runs on a lazily created thread pool with one worker per shard
-    (numpy releases the GIL in the hot paths).  The pool is an execution
-    detail: results never depend on thread scheduling.
+    Sparse query rows fold in here, through the shared projector: their
+    masked per-row least squares does not benefit from shard fan-out.
+
+    The router calls each shard through one :data:`ShardCall`.  This class
+    builds in-process shards — one :class:`QueryEngine` per shard, sharing
+    one fold-in projector — and
+    :class:`~repro.serve.worker.WorkerShardedQueryEngine` builds the same
+    router over one worker process per shard.  Scatter runs on a lazily
+    created thread pool; its width follows where shard compute runs: at
+    most the usable CPUs for in-process shards (numpy releases the GIL in
+    the hot paths), one thread per shard for workers.  The pool is an
+    execution detail: results never depend on thread scheduling.
+
+    **Fault tolerance** (only a worker shard ever fails).  Every query
+    method captures the ambient request deadline
+    (:func:`~repro.serve.resilience.current_deadline`) on the request
+    thread and passes it into each shard call — pool threads do not inherit
+    thread-locals.  An item-space chunk whose shard is unavailable is
+    *rerouted* to another shard whose breaker is closed (the item factors
+    are replicated, so the answer stays byte-identical).  Reference-space
+    candidates own their rows: under ``degraded="partial"`` an unavailable
+    shard's candidates are dropped and reported via
+    :func:`~repro.serve.resilience.collect_missing_shards`; the default
+    ``degraded="fail"`` raises
+    :class:`~repro.serve.resilience.ShardUnavailableError`.
 
     Parameters
     ----------
@@ -587,10 +715,9 @@ class ShardedQueryEngine:
         # The item-side factors are replicated across shards, so the fold-in
         # projector (and its pseudo-inverse SVDs) is computed once and shared
         # by every shard engine.
-        shared_projector = FoldInProjector(shards[0], kernel=kernel)
-        self.engines = [QueryEngine(shard, projector=shared_projector)
+        projector = FoldInProjector(shards[0], kernel=kernel)
+        self.engines = [QueryEngine(shard, projector=projector)
                         for shard in shards]
-        first = self.engines[0]
         counts = [engine.n_users for engine in self.engines]
         if row_ranges is None:
             stops = np.cumsum(counts)
@@ -613,23 +740,44 @@ class ShardedQueryEngine:
                         f"the shard row counts {counts}"
                     )
                 expected_start = stop
-        self.row_ranges: RowRanges = row_ranges
-        self._starts = np.array([start for start, _ in row_ranges])
+        # Shard compute runs on this process's cores: fanning one CPU out
+        # over four threads would only add scheduling overhead to every
+        # request, so the width is the CPUs this process may actually run
+        # on (container quotas, affinity masks), not the host's core count.
+        self._route(projector, row_ranges,
+                    [_local_shard(engine, start)
+                     for engine, (start, _) in zip(self.engines, row_ranges)],
+                    scatter_width=min(len(self.engines), usable_cpu_count()))
+
+    def _route(self, projector: FoldInProjector, row_ranges: RowRanges,
+               shards: Sequence[ShardCall], scatter_width: int,
+               degraded: str = "fail",
+               breaker_closed: Callable[[int], bool] = lambda shard: True,
+               ) -> None:
+        """Set up the router over ``shards`` (one :data:`ShardCall` each).
+
+        ``breaker_closed(shard)`` tells the item-space reroute which other
+        shards are worth trying when one is unavailable.
+        """
+        if degraded not in ("fail", "partial"):
+            raise ValueError(
+                f"degraded policy must be 'fail' or 'partial', got {degraded!r}")
+        self.degraded = degraded
+        self.row_ranges: RowRanges = tuple(row_ranges)
+        self._starts = np.array([start for start, _ in self.row_ranges])
         #: Total stored rows across every shard.
-        self.n_users = int(sum(counts))
-        self.n_items = first.n_items
-        #: The replicated item-space state; identical in every shard engine.
-        self.projector = first.projector
-        self.item_map = first.item_map
+        self.n_users = int(self.row_ranges[-1][1])
+        #: The replicated item-space state, shared by every shard.
+        self.projector = projector
+        self.item_map = projector.item_map
+        self.n_items = projector.n_items
+        self._shards = list(shards)
+        self._breaker_closed = breaker_closed
         #: How many chunks item-space queries scatter into.  Unlike the
         #: reference-space scatter (structurally one task per shard), batch
         #: chunking is a free choice — row-local scoring makes any chunking
-        #: byte-identical — so it adapts to the cores actually available:
-        #: fanning a single CPU out over four threads would only add
-        #: scheduling overhead to every request.  Sized by the CPUs this
-        #: process may actually run on (container quotas, affinity masks),
-        #: not the host's core count.
-        self._scatter_width = max(1, min(len(self.engines), usable_cpu_count()))
+        #: byte-identical — so it follows where shard compute runs.
+        self._scatter_width = max(1, scatter_width)
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
         self._closed = False
@@ -640,13 +788,13 @@ class ShardedQueryEngine:
     @property
     def n_shards(self) -> int:
         """Number of row-range shards behind this router."""
-        return len(self.engines)
+        return len(self._shards)
 
     def _run(self, tasks: Sequence[Callable[[], object]]) -> List[object]:
         """Run thunks, fanning out across the shard pool when there are
-        several (and more than one core to fan out over); order of results
-        always matches order of tasks, and results never depend on which
-        path executed them."""
+        several (and a width to fan out over); order of results always
+        matches order of tasks, and results never depend on which path
+        executed them."""
         if len(tasks) <= 1 or self._scatter_width == 1:
             return [task() for task in tasks]
         with self._pool_lock:
@@ -659,7 +807,7 @@ class ShardedQueryEngine:
             else:
                 if self._pool is None:
                     self._pool = ThreadPoolExecutor(
-                        max_workers=len(self.engines),
+                        max_workers=self.n_shards,
                         thread_name_prefix="repro-shard",
                     )
                 futures = [self._pool.submit(task) for task in tasks]
@@ -668,13 +816,13 @@ class ShardedQueryEngine:
         return [future.result() for future in futures]
 
     def close(self, wait: bool = True) -> None:
-        """Shut down the scatter pool (idempotent; the engine stays usable,
-        running serially afterwards).
+        """Shut down the scatter pool (idempotent; in-process shards keep
+        answering, serially, afterwards).
 
-        ``wait=False`` returns without joining the workers — what the HTTP
-        layer uses when it replaces or evicts a cached engine, so request
-        threads never block on a displaced engine's pool; in-flight scatter
-        tasks still run to completion.
+        ``wait=False`` returns without joining the pool threads — what the
+        HTTP layer uses when it replaces or evicts a cached engine, so
+        request threads never block on a displaced engine's pool; in-flight
+        scatter tasks still run to completion.
         """
         with self._pool_lock:
             self._closed = True
@@ -682,90 +830,135 @@ class ShardedQueryEngine:
         if pool is not None:
             pool.shutdown(wait=wait)
 
-    def _coerce_rows(self, rows: Rows):
-        return self.projector._coerce_rows(rows)
+    def _scatter(self, header: Dict[str, object],
+                 arrays: Sequence[np.ndarray] = (),
+                 partial: bool = False) -> List[List[np.ndarray]]:
+        """Send one request to every shard; the replies in shard order.
 
-    def _split_rows(self, rows) -> List[object]:
-        """Contiguous row chunks of a (coerced) query batch, one per scatter
-        slot at most; row-local scoring makes the cut points irrelevant to
-        the answers."""
-        n_chunks = min(self._scatter_width, rows.shape[0])
-        if n_chunks <= 1:
-            return [rows]
-        chunks = []
-        for start, stop in plan_row_ranges(rows.shape[0], n_chunks):
-            if is_sparse_interval(rows):
-                chunks.append(rows.rows(np.arange(start, stop)))
-            else:
-                chunks.append(IntervalMatrix(rows.lower[start:stop],
-                                             rows.upper[start:stop],
-                                             check=False))
-        return chunks
+        With ``partial`` (and ``degraded="partial"``) unavailable shards are
+        dropped from the replies and reported into the request's
+        :func:`collect_missing_shards` scope — on the request thread, after
+        the gather, because pool threads do not share the caller's
+        thread-locals.  All shards missing still raises: an empty answer is
+        not a degraded answer.
+        """
+        deadline = current_deadline()
+        partial = partial and self.degraded == "partial"
+
+        def attempt(shard: int):
+            try:
+                return self._shards[shard](header, arrays, deadline)
+            except ShardUnavailableError as error:
+                if not partial:
+                    raise
+                return error
+
+        outcomes = self._run([(lambda shard=shard: attempt(shard))
+                              for shard in range(self.n_shards)])
+        missing = [shard for shard, outcome in enumerate(outcomes)
+                   if isinstance(outcome, ShardUnavailableError)]
+        if missing:
+            if len(missing) == len(outcomes):
+                raise outcomes[0]
+            logger.warning("degraded %s gather: dropped shards %s",
+                           header.get("op"), missing)
+            note_missing_shards(missing)
+        return [outcome for outcome in outcomes
+                if not isinstance(outcome, ShardUnavailableError)]
 
     # ------------------------------------------------------------------ #
     # Item-space queries (scatter the batch; item factors are replicated)
     # ------------------------------------------------------------------ #
+    def _split_rows(self, rows: IntervalMatrix) -> List[List[np.ndarray]]:
+        """Endpoint arrays of contiguous chunks of a dense query batch, one
+        per scatter slot at most; row-local scoring makes the cut points
+        irrelevant to the answers."""
+        n_chunks = min(self._scatter_width, rows.shape[0])
+        if n_chunks <= 1:
+            return [[rows.lower, rows.upper]]
+        return [[rows.lower[start:stop], rows.upper[start:stop]]
+                for start, stop in plan_row_ranges(rows.shape[0], n_chunks)]
+
+    def _item_space(self, rows: IntervalMatrix,
+                    header: Dict[str, object]) -> List[List[np.ndarray]]:
+        """Scatter the chunks of ``rows``; each chunk's reply, in batch
+        order."""
+        deadline = current_deadline()
+        return self._run([
+            (lambda shard=shard, chunk=chunk:
+             self._call_item(shard, header, chunk, deadline))
+            for shard, chunk in enumerate(self._split_rows(rows))
+        ])
+
+    def _call_item(self, shard: int, header: Dict[str, object],
+                   arrays: Sequence[np.ndarray],
+                   deadline: Optional[Deadline]) -> List[np.ndarray]:
+        """One item-space chunk call, rerouted around an unavailable shard.
+
+        Item factors (``Sigma``/``V``) are replicated bit-for-bit across
+        shards, so *any* shard computes the exact same bytes for an
+        item-space chunk — rerouting is free of the degradation question
+        entirely.  Only when every shard refuses does the original error
+        surface.
+        """
+        try:
+            return self._shards[shard](header, arrays, deadline)
+        except ShardUnavailableError as error:
+            for other in range(self.n_shards):
+                if other == shard or not self._breaker_closed(other):
+                    continue
+                try:
+                    result = self._shards[other](header, arrays, deadline)
+                except ShardUnavailableError:
+                    continue
+                logger.warning(
+                    "rerouted item-space %s chunk from unavailable "
+                    "shard %d to shard %d", header.get("op"), shard, other)
+                return result
+            raise error
+
     def reconstruct_rows(self, user_rows: Rows) -> np.ndarray:
         """Predicted scores (``q x m``) for unseen rows; bit-equal to the
         unsharded :meth:`QueryEngine.reconstruct_rows`."""
-        rows = self._coerce_rows(user_rows)
-        chunks = self._split_rows(rows)
-        blocks = self._run([
-            (lambda engine=engine, chunk=chunk: engine.reconstruct_rows(chunk))
-            for engine, chunk in zip(self.engines, chunks)
-        ])
-        return blocks[0] if len(blocks) == 1 else np.vstack(blocks)
+        rows = self.projector._coerce_rows(user_rows)
+        if is_sparse_interval(rows):
+            return self.projector.reconstruct_rows(rows)
+        replies = self._item_space(rows, {"op": "reconstruct_rows"})
+        return _joined([reply[0] for reply in replies], np.vstack)
 
     def top_k_items(self, user_rows: Rows, k: int) -> TopKResult:
         """Best-``k`` items per query row; bit-equal to the unsharded
         :meth:`QueryEngine.top_k_items` (selection is row-local, so chunks
         gather by simple concatenation in batch order)."""
-        rows = self._coerce_rows(user_rows)
-        chunks = self._split_rows(rows)
-        results = self._run([
-            (lambda engine=engine, chunk=chunk: engine.top_k_items(chunk, k))
-            for engine, chunk in zip(self.engines, chunks)
-        ])
-        if len(results) == 1:
-            return results[0]
-        return TopKResult(np.vstack([r.indices for r in results]),
-                          np.vstack([r.scores for r in results]))
+        k = _checked_k(k)
+        rows = self.projector._coerce_rows(user_rows)
+        if is_sparse_interval(rows):
+            return top_k(self.projector.reconstruct_rows(rows), k, largest=True)
+        replies = self._item_space(rows, {"op": "top_k_items", "k": k})
+        return TopKResult(_joined([reply[0] for reply in replies], np.vstack),
+                          _joined([reply[1] for reply in replies], np.vstack))
 
     # ------------------------------------------------------------------ #
     # Reference-space queries (scatter the stored rows; gather by merge)
     # ------------------------------------------------------------------ #
+    def _features(self, query_rows: Rows) -> List[np.ndarray]:
+        """The queries folded in once, as the endpoint arrays every shard
+        receives."""
+        features = self.projector.latent_features(
+            self.projector._coerce_rows(query_rows))
+        return [features.lower, features.upper]
+
     def neighbor_squared_distances(self, query_rows: Rows) -> np.ndarray:
         """Squared distances (``q x n``) to every stored row across all
         shards, gathered in global row order; bit-equal to the unsharded
         matrix (each entry is element-local)."""
-        features = self.projector.latent_features(self._coerce_rows(query_rows))
-        blocks = self._run([
-            (lambda engine=engine: engine.squared_distances_to_references(features))
-            for engine in self.engines
-        ])
-        return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
+        replies = self._scatter({"op": "squared_distances"},
+                                self._features(query_rows))
+        return _joined([reply[0] for reply in replies], np.hstack)
 
     def neighbor_distances(self, query_rows: Rows) -> np.ndarray:
         """Interval distances (``q x n``) to every stored row."""
         return np.sqrt(self.neighbor_squared_distances(query_rows))
-
-    def _scatter_candidates(self, features, k: int) -> TopKResult:
-        """Each shard's local top-``k`` on squared distances, with global
-        indices, concatenated in shard order (not yet globally merged)."""
-
-        def local_top_k(engine: QueryEngine, start: int) -> TopKResult:
-            squared = engine.squared_distances_to_references(features)
-            local = top_k(squared, k, largest=False)
-            return TopKResult(local.indices + start, local.scores)
-
-        results = self._run([
-            (lambda engine=engine, start=start: local_top_k(engine, start))
-            for engine, (start, _) in zip(self.engines, self.row_ranges)
-        ])
-        if len(results) == 1:
-            return results[0]
-        return TopKResult(np.hstack([r.indices for r in results]),
-                          np.hstack([r.scores for r in results]))
 
     def nearest_neighbor_candidates(self, query_rows: Rows, k: int) -> TopKResult:
         """Cross-shard candidate lists for top-``k`` neighbour selection.
@@ -779,11 +972,16 @@ class ShardedQueryEngine:
         is how the HTTP micro-batcher serves mixed-``k`` request batches
         from one scatter whose working set is ``q x (n_shards * k)`` instead
         of the full ``q x n`` distance matrix.
+
+        The one query that can *degrade*: under ``degraded="partial"``,
+        unavailable shards are dropped from the gather — the merged
+        neighbours are then exact over the remaining shards' rows.
         """
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        features = self.projector.latent_features(self._coerce_rows(query_rows))
-        return self._scatter_candidates(features, k)
+        k = _checked_k(k)
+        replies = self._scatter({"op": "candidates", "k": k},
+                                self._features(query_rows), partial=True)
+        return TopKResult(_joined([reply[0] for reply in replies], np.hstack),
+                          _joined([reply[1] for reply in replies], np.hstack))
 
     def nearest_neighbors(self, query_rows: Rows, k: int) -> TopKResult:
         """``k`` nearest stored rows per query row, merged across shards.
@@ -807,17 +1005,15 @@ class ShardedQueryEngine:
         query order; bit-equal to the unsharded
         :meth:`QueryEngine.scores_for_users`."""
         if indices is None:
-            blocks = self._run([
-                (lambda engine=engine: engine.scores_for_users())
-                for engine in self.engines
-            ])
-            return blocks[0] if len(blocks) == 1 else np.vstack(blocks)
+            replies = self._scatter({"op": "scores_for_users", "all": True})
+            return _joined([reply[0] for reply in replies], np.vstack)
         indices = np.asarray(indices, dtype=int)
         flat = np.where(indices < 0, indices + self.n_users, indices)
         if flat.size and (flat.min() < 0 or flat.max() >= self.n_users):
             raise IndexError(
                 f"user index out of range for {self.n_users} stored rows"
             )
+        deadline = current_deadline()
         owner = np.searchsorted(self._starts, flat, side="right") - 1
         tasks = []
         masks = []
@@ -826,8 +1022,8 @@ class ShardedQueryEngine:
             if not mask.any():
                 continue
             local = flat[mask] - start
-            tasks.append(lambda engine=self.engines[shard], local=local:
-                         engine.scores_for_users(local))
+            tasks.append(lambda shard=shard, local=local: self._shards[shard](
+                {"op": "scores_for_users"}, [local], deadline)[0])
             masks.append(mask)
         out = np.empty((flat.size, self.n_items), dtype=self.item_map.dtype)
         for mask, block in zip(masks, self._run(tasks)):

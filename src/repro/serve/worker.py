@@ -15,10 +15,11 @@ whole service down.  This module moves each row-range shard into its own
   their health, restarts the dead, and tears everything down without
   leaving orphans (workers exit on socket EOF, so even a killed supervisor
   releases them);
-* :class:`WorkerShardedQueryEngine` — the process-backed counterpart of
-  :class:`~repro.serve.shard.ShardedQueryEngine`: same query API, same
-  *byte-identical* answers, but each shard's scoring runs in its own
-  process.
+* :class:`WorkerShardedQueryEngine` — the scatter-gather router of
+  :class:`~repro.serve.shard.ShardedQueryEngine` over worker shards: it
+  only builds one shard call per worker (through the supervisor) and adds
+  :meth:`~WorkerShardedQueryEngine.liveness`; every query method, and so
+  every answer, is the router's.
 
 **Why results stay byte-identical.**  Every scoring path is row-local and
 deterministic (einsum fold-in, element-local distances), the replicated
@@ -26,9 +27,11 @@ item factors are bitwise equal across shards — so each worker's fold-in
 projector computes the exact same pseudo-inverse bits the in-process router
 shares — and npy framing round-trips array bytes exactly.  The gather then
 merges under :func:`~repro.serve.query.top_k`'s total order, which provably
-reproduces the unsharded selection.  The parity suite asserts byte equality
-against both :class:`~repro.serve.query.QueryEngine` and the in-process
-router (``tests/test_serve_worker.py``).
+reproduces the unsharded selection.  A worker executes the same
+:func:`~repro.serve.shard._run_op` an in-process shard does.  The parity
+suite asserts byte equality against both
+:class:`~repro.serve.query.QueryEngine` and the in-process router
+(``tests/test_serve_worker.py``).
 
 **Generation pinning.**  The supervisor plans against one
 :class:`~repro.serve.shard.ShardManifest` and ships that exact manifest
@@ -55,49 +58,53 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures import wait as wait_futures
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 import repro
-from repro.interval.array import IntervalMatrix
 from repro.interval.kernels import KernelLike, get_kernel
-from repro.interval.sparse import is_sparse_interval
 from repro.serve.faults import (
     FAULTS_ENV,
     FaultInjected,
     FaultPlan,
     install_protocol_hook,
 )
-from repro.serve.foldin import FoldInProjector, Rows
+from repro.serve.foldin import FoldInProjector
 from repro.serve.protocol import (
     ProtocolError,
     read_frame,
     write_frame,
 )
+# The errors and the degradation scope live in resilience (imported back
+# here so ``from repro.serve.worker import WorkerError`` keeps working).
 from repro.serve.resilience import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
     CircuitBreaker,
     Deadline,
+    DeadlineExceededError,
     RetryPolicy,
+    ShardUnavailableError,
+    WorkerError,
+    WorkerRequestError,
+    collect_missing_shards,
     current_deadline,
 )
-from repro.serve.query import (
-    QueryEngine,
-    TopKResult,
-    top_k,
-    top_k_from_candidates,
-)
+from repro.serve.query import QueryEngine
+# The shard ops are defined once, next to the router; a worker runs the
+# same _run_op an in-process shard does.
 from repro.serve.shard import (
     ShardedModelStore,
+    ShardedQueryEngine,
     ShardManifest,
-    plan_row_ranges,
+    _interval_pair,
+    _k_of,
+    _run_op,
 )
 from repro.serve.store import ModelStoreError
 
@@ -130,69 +137,6 @@ SPAWN_TIMEOUT = 60.0
 CALL_TIMEOUT = 30.0
 
 logger = logging.getLogger(__name__)
-
-
-class WorkerError(RuntimeError):
-    """A shard worker failed: bad frame, dead process, or a remote error."""
-
-
-class WorkerRequestError(WorkerError):
-    """The worker itself reported the request as bad (``ok: false``).
-
-    The worker is healthy and the transport is fine — retrying or
-    restarting would only repeat the same rejection, so the supervisor
-    surfaces this immediately and without touching the worker.
-    """
-
-
-class ShardUnavailableError(WorkerError):
-    """A shard cannot serve right now: retries exhausted or breaker open.
-
-    ``retry_after`` is the supervisor's estimate (seconds) of when an
-    attempt could succeed — the HTTP layer forwards it as a ``Retry-After``
-    header on the 503 it maps this error to.
-    """
-
-    def __init__(self, shard: int, message: str, retry_after: float = 1.0):
-        super().__init__(message)
-        self.shard = shard
-        self.retry_after = max(0.0, float(retry_after))
-
-
-class DeadlineExceededError(WorkerError):
-    """The request's end-to-end deadline expired before a shard answered."""
-
-
-# --------------------------------------------------------------------- #
-# Degradation reporting (request-thread-local)
-# --------------------------------------------------------------------- #
-_degradation = threading.local()
-
-
-@contextmanager
-def collect_missing_shards() -> Iterator[Set[int]]:
-    """Collect the shard indices a degraded-mode query had to drop.
-
-    The HTTP layer wraps each request in this scope; engines running in
-    ``degraded="partial"`` mode report dropped shards into it (on the
-    request thread, after the gather).  Engines that never degrade —
-    in-process ones, or worker engines in the default fail-fast mode —
-    simply leave the set empty, so callers need no backend-specific
-    branches.
-    """
-    previous = getattr(_degradation, "missing", None)
-    missing: Set[int] = set()
-    _degradation.missing = missing
-    try:
-        yield missing
-    finally:
-        _degradation.missing = previous
-
-
-def _note_missing_shards(shards: Sequence[int]) -> None:
-    missing = getattr(_degradation, "missing", None)
-    if missing is not None:
-        missing.update(shards)
 
 
 def _generation_token(generation: Optional[int]) -> str:
@@ -346,65 +290,6 @@ def _serve_requests(stream, engine: QueryEngine, row_start: int,
             except FaultInjected:
                 continue  # garbage went out instead of the reply
         write_frame(stream, reply, out_arrays)
-
-
-def _run_op(engine: QueryEngine, row_start: int, op: Optional[object],
-            header: Dict[str, object],
-            arrays: List[np.ndarray]) -> Tuple[Dict[str, object], List[np.ndarray]]:
-    """Execute one request against the worker's shard engine.
-
-    Query rows and folded features arrive as endpoint array pairs; results
-    leave as npy arrays, so both directions round-trip bit-exactly.
-    """
-    if op == "ping":
-        return {"ok": True, "pid": os.getpid()}, []
-    if op == "reconstruct_rows":
-        rows = _interval_pair(arrays, "reconstruct_rows")
-        return {"ok": True}, [engine.reconstruct_rows(rows)]
-    if op == "top_k_items":
-        rows = _interval_pair(arrays, "top_k_items")
-        result = engine.top_k_items(rows, _k_of(header))
-        return {"ok": True}, [result.indices, result.scores]
-    if op == "squared_distances":
-        features = _interval_pair(arrays, "squared_distances")
-        return {"ok": True}, [engine.squared_distances_to_references(features)]
-    if op == "candidates":
-        features = _interval_pair(arrays, "candidates")
-        squared = engine.squared_distances_to_references(features)
-        local = top_k(squared, _k_of(header), largest=False)
-        # Shift to global stored-row indices here, so the gather side never
-        # needs to know which worker a candidate came from.
-        return {"ok": True}, [local.indices + row_start, local.scores]
-    if op == "scores_for_users":
-        if header.get("all"):
-            return {"ok": True}, [engine.scores_for_users()]
-        if len(arrays) != 1:
-            raise WorkerError("scores_for_users expects one index array")
-        return {"ok": True}, [engine.scores_for_users(
-            np.asarray(arrays[0], dtype=int))]
-    raise WorkerError(f"unknown worker op {op!r}")
-
-
-def _interval_pair(arrays: Sequence[np.ndarray], op: str) -> IntervalMatrix:
-    if len(arrays) != 2:
-        raise WorkerError(
-            f"{op} expects a lower/upper endpoint array pair, got "
-            f"{len(arrays)} arrays"
-        )
-    # npy framing preserves dtype on the wire; keep float32 frames float32
-    # so a low-precision fleet computes in its model's storage dtype.
-    lower, upper = np.asarray(arrays[0]), np.asarray(arrays[1])
-    if lower.dtype != np.float32 or upper.dtype != np.float32:
-        lower = np.asarray(lower, dtype=float)
-        upper = np.asarray(upper, dtype=float)
-    return IntervalMatrix(lower, upper, check=False)
-
-
-def _k_of(header: Dict[str, object]) -> int:
-    k = header.get("k")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise WorkerError(f"'k' must be a positive integer, got {k!r}")
-    return k
 
 
 # --------------------------------------------------------------------- #
@@ -950,14 +835,6 @@ class ShardWorkerSupervisor:
             )
         return reply, out_arrays
 
-    def ping(self, shard: int) -> bool:
-        """Round-trip liveness probe of one worker (restarts it if dead)."""
-        try:
-            self.call(shard, {"op": "ping"})
-            return True
-        except WorkerError:
-            return False
-
     def breaker_state(self, shard: int) -> str:
         """The circuit-breaker state of one shard (closed/open/half-open)."""
         return self._breakers[shard].state
@@ -1016,43 +893,22 @@ class ShardWorkerSupervisor:
 
 
 # --------------------------------------------------------------------- #
-# Process-backed sharded engine (runs in the serving process)
+# Worker-backed router (runs in the serving process)
 # --------------------------------------------------------------------- #
-class WorkerShardedQueryEngine:
-    """Scatter-gather router over one worker *process* per row-range shard.
+class WorkerShardedQueryEngine(ShardedQueryEngine):
+    """The scatter-gather router over one worker *process* per shard.
 
-    The process-backed counterpart of
-    :class:`~repro.serve.shard.ShardedQueryEngine`: same query API, same
-    byte-identical answers, but each shard's scoring runs in its own
-    process, so shard work truly parallelizes across cores instead of
+    Every query method, and so every answer, is
+    :class:`~repro.serve.shard.ShardedQueryEngine`'s; this class only builds
+    the shards, each a call through :meth:`ShardWorkerSupervisor.call`.
+    Shard work then truly parallelizes across cores instead of
     time-slicing one GIL, and a crashed shard restarts without taking the
-    front end down.
+    front end down.  ``degraded`` selects what an unavailable shard does
+    to a neighbour query (see the router); the other keywords tune the
+    :class:`ShardWorkerSupervisor`.
 
-    The front end keeps only the *item-side* state: the shared fold-in
-    projector (built from shard 0's replicated ``Sigma``/``V``), which
-    folds retrieval queries in **once** — exactly like the in-process
-    router — and ships the folded features to every worker.  Item-space
-    queries ship contiguous chunks of the raw query batch instead; each
-    worker folds its chunk through its own bitwise-identical projector
-    (row-local, so the chunking cannot change any answer).  Sparse query
-    rows answer locally through the shared projector — their masked
-    per-row least squares does not benefit from shard fan-out.
-
-    **Fault tolerance.**  Every public query method captures the ambient
-    request deadline (:func:`~repro.serve.resilience.current_deadline`) on
-    the request thread and passes it explicitly into each scatter thunk —
-    pool threads do not inherit thread-locals.  Because the item factors
-    are **replicated** across shards, an item-space chunk whose assigned
-    worker is unavailable is *rerouted* to any live shard and the answer
-    stays byte-identical; reference-space gathers own their rows, so under
-    ``degraded="partial"`` an unavailable shard's candidates are dropped
-    and reported via :func:`collect_missing_shards` instead of failing the
-    whole request.  The default ``degraded="fail"`` preserves the
-    all-or-nothing byte-identity contract: any unavailable shard raises
-    :class:`ShardUnavailableError`.
-
-    Construction spawns the workers (via :class:`ShardWorkerSupervisor`)
-    pinned to the manifest's current generation; :meth:`close` reaps them.
+    Construction spawns the workers pinned to the manifest's current
+    generation; :meth:`close` reaps them.
     """
 
     def __init__(self, store: Union[ShardedModelStore, str, Path], name: str,
@@ -1065,10 +921,6 @@ class WorkerShardedQueryEngine:
                  degraded: str = "fail",
                  faults: Optional[str] = None,
                  dtype: Optional[str] = None):
-        if degraded not in ("fail", "partial"):
-            raise ValueError(
-                f"degraded policy must be 'fail' or 'partial', got {degraded!r}")
-        self.degraded = degraded
         if not isinstance(store, ShardedModelStore):
             store = ShardedModelStore(store)
         manifest = store.manifest(name)
@@ -1076,14 +928,22 @@ class WorkerShardedQueryEngine:
         # projector; its U slice is the price of not duplicating the
         # pseudo-inverse SVDs per query.
         shard0, manifest = store.load_shard(name, 0, manifest=manifest)
-        self.projector = FoldInProjector(shard0, kernel=kernel)
-        self.item_map = self.projector.item_map
-        self.n_items = self.projector.n_items
-        self.row_ranges = manifest.row_ranges
+        n_shards = manifest.record.shards
+
+        def worker_shard(shard: int):
+            return lambda header, arrays, deadline: self.supervisor.call(
+                shard, header, arrays, deadline=deadline)[1]
+
+        # Front-end threads only wait on sockets here — the compute runs in
+        # the worker processes — so the width is one thread per worker, not
+        # capped by this process's CPU count.
+        self._route(FoldInProjector(shard0, kernel=kernel), manifest.row_ranges,
+                    [worker_shard(shard) for shard in range(n_shards)],
+                    scatter_width=n_shards, degraded=degraded,
+                    breaker_closed=lambda shard:
+                        self.supervisor.breaker_state(shard) == BREAKER_CLOSED)
         self.generation = manifest.record.generation
         self.dtype = manifest.record.dtype
-        self.n_users = int(manifest.record.shape[0])
-        self._starts = np.array([start for start, _ in self.row_ranges])
         self.supervisor = ShardWorkerSupervisor(
             store.directory, name, manifest, kernel=kernel,
             monitor_interval=monitor_interval, call_timeout=call_timeout,
@@ -1096,291 +956,21 @@ class WorkerShardedQueryEngine:
         except Exception:
             self.supervisor.close()
             raise
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
-        self._closed = False
-
-    # ------------------------------------------------------------------ #
-    # Scatter plumbing
-    # ------------------------------------------------------------------ #
-    @property
-    def n_shards(self) -> int:
-        """Number of row-range shards (= worker processes) behind this
-        router."""
-        return self.supervisor.n_shards
 
     def liveness(self) -> List[Dict[str, object]]:
         """Per-shard worker status (see
         :meth:`ShardWorkerSupervisor.liveness`)."""
         return self.supervisor.liveness()
 
-    def _run(self, tasks: Sequence[Callable[[], object]]) -> List[object]:
-        """Run call thunks, one front-end thread per worker.
-
-        Unlike the in-process router, fan-out width is *not* capped by this
-        process's CPU count: front-end threads only do socket I/O here —
-        the compute happens in the worker processes.
-        """
-        if len(tasks) <= 1:
-            return [task() for task in tasks]
-        with self._pool_lock:
-            if self._closed:
-                futures = None
-            else:
-                if self._pool is None:
-                    self._pool = ThreadPoolExecutor(
-                        max_workers=self.n_shards,
-                        thread_name_prefix="repro-worker-scatter",
-                    )
-                futures = [self._pool.submit(task) for task in tasks]
-        if futures is None:  # closed: keep answering, just serially
-            return [task() for task in tasks]
-        return [future.result() for future in futures]
-
     def close(self, wait: bool = True) -> None:
         """Reap every worker process and the scatter pool (idempotent).
 
-        Unlike :meth:`ShardedQueryEngine.close`, a closed worker engine
-        cannot keep answering — its compute lives in the reaped processes —
-        so subsequent queries raise :class:`WorkerError`.
+        Unlike an in-process router, a closed worker router cannot keep
+        answering — its compute lives in the reaped processes — so
+        subsequent queries raise :class:`WorkerError`.
         """
-        with self._pool_lock:
-            self._closed = True
-            pool, self._pool = self._pool, None
         self.supervisor.close()
-        if pool is not None:
-            pool.shutdown(wait=wait)
-
-    def _endpoints(self, rows: IntervalMatrix) -> List[np.ndarray]:
-        return [rows.lower, rows.upper]
-
-    def _split_rows(self, rows: IntervalMatrix) -> List[IntervalMatrix]:
-        n_chunks = min(self.n_shards, rows.shape[0])
-        if n_chunks <= 1:
-            return [rows]
-        return [
-            IntervalMatrix(rows.lower[start:stop], rows.upper[start:stop],
-                           check=False)
-            for start, stop in plan_row_ranges(rows.shape[0], n_chunks)
-        ]
-
-    def _call_item_op(self, shard: int, header: Dict[str, object],
-                      arrays: Sequence[np.ndarray],
-                      deadline: Optional[Deadline]) -> List[np.ndarray]:
-        """One item-space chunk call, rerouted around unavailable shards.
-
-        Item factors (``Sigma``/``V``) are replicated bit-for-bit across
-        shards, so *any* live worker computes the exact same bytes for an
-        item-space chunk — rerouting is free of the degradation question
-        entirely.  Only when every shard refuses does the original error
-        surface.
-        """
-        try:
-            return self.supervisor.call(shard, header, arrays,
-                                        deadline=deadline)[1]
-        except ShardUnavailableError as error:
-            for other in range(self.n_shards):
-                if other == shard:
-                    continue
-                if self.supervisor.breaker_state(other) != BREAKER_CLOSED:
-                    continue
-                try:
-                    result = self.supervisor.call(other, header, arrays,
-                                                  deadline=deadline)[1]
-                    logger.warning(
-                        "rerouted item-space %s chunk from unavailable "
-                        "shard %d to shard %d", header.get("op"), shard, other)
-                    return result
-                except ShardUnavailableError:
-                    continue
-            raise error
-
-    def _gather_candidates(self, header: Dict[str, object],
-                           arrays: Sequence[np.ndarray],
-                           deadline: Optional[Deadline]
-                           ) -> Tuple[List[List[np.ndarray]], List[int]]:
-        """Scatter one reference-space request to every shard and gather.
-
-        In the default fail-fast mode any unavailable shard raises.  Under
-        ``degraded="partial"`` unavailable shards are dropped from the
-        gather and returned as the missing list (also reported into the
-        request's :func:`collect_missing_shards` scope — on the request
-        thread, after the gather, because pool threads do not share the
-        caller's thread-locals).  All shards missing still raises: an
-        empty answer is not a degraded answer.
-        """
-        def attempt(shard: int):
-            try:
-                return ("ok", self.supervisor.call(
-                    shard, header, arrays, deadline=deadline)[1])
-            except ShardUnavailableError as error:
-                if self.degraded != "partial":
-                    raise
-                return ("missing", error)
-
-        outcomes = self._run([
-            (lambda shard=shard: attempt(shard))
-            for shard in range(self.n_shards)
-        ])
-        results: List[List[np.ndarray]] = []
-        missing: List[int] = []
-        first_error: Optional[ShardUnavailableError] = None
-        for shard, (status, value) in enumerate(outcomes):
-            if status == "ok":
-                results.append(value)
-            else:
-                missing.append(shard)
-                if first_error is None:
-                    first_error = value
-        if missing:
-            if not results:
-                assert first_error is not None
-                raise first_error
-            logger.warning("degraded %s gather: dropped shards %s",
-                           header.get("op"), missing)
-            _note_missing_shards(missing)
-        return results, missing
-
-    # ------------------------------------------------------------------ #
-    # Item-space queries (scatter the batch; item factors are replicated)
-    # ------------------------------------------------------------------ #
-    def reconstruct_rows(self, user_rows: Rows) -> np.ndarray:
-        """Predicted scores (``q x m``); bit-equal to the unsharded
-        :meth:`QueryEngine.reconstruct_rows`."""
-        rows = self.projector._coerce_rows(user_rows)
-        if is_sparse_interval(rows):
-            return self.projector.reconstruct_rows(rows)
-        deadline = current_deadline()
-        chunks = self._split_rows(rows)
-        blocks = self._run([
-            (lambda chunk=chunk, shard=shard: self._call_item_op(
-                shard, {"op": "reconstruct_rows"},
-                self._endpoints(chunk), deadline)[0])
-            for shard, chunk in enumerate(chunks)
-        ])
-        return blocks[0] if len(blocks) == 1 else np.vstack(blocks)
-
-    def top_k_items(self, user_rows: Rows, k: int) -> TopKResult:
-        """Best-``k`` items per query row; bit-equal to the unsharded
-        :meth:`QueryEngine.top_k_items`."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        rows = self.projector._coerce_rows(user_rows)
-        if is_sparse_interval(rows):
-            return top_k(self.projector.reconstruct_rows(rows), k,
-                         largest=True)
-        deadline = current_deadline()
-        chunks = self._split_rows(rows)
-        results = self._run([
-            (lambda chunk=chunk, shard=shard: self._call_item_op(
-                shard, {"op": "top_k_items", "k": k},
-                self._endpoints(chunk), deadline))
-            for shard, chunk in enumerate(chunks)
-        ])
-        if len(results) == 1:
-            indices, scores = results[0]
-            return TopKResult(indices, scores)
-        return TopKResult(np.vstack([r[0] for r in results]),
-                          np.vstack([r[1] for r in results]))
-
-    # ------------------------------------------------------------------ #
-    # Reference-space queries (scatter the stored rows; gather by merge)
-    # ------------------------------------------------------------------ #
-    def _features_of(self, query_rows: Rows) -> IntervalMatrix:
-        return self.projector.latent_features(
-            self.projector._coerce_rows(query_rows))
-
-    def neighbor_squared_distances(self, query_rows: Rows) -> np.ndarray:
-        """Squared distances (``q x n``) to every stored row, in global row
-        order; bit-equal to the unsharded matrix."""
-        features = self._features_of(query_rows)
-        deadline = current_deadline()
-        blocks = self._run([
-            (lambda shard=shard: self.supervisor.call(
-                shard, {"op": "squared_distances"},
-                self._endpoints(features), deadline=deadline)[1][0])
-            for shard in range(self.n_shards)
-        ])
-        return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
-
-    def neighbor_distances(self, query_rows: Rows) -> np.ndarray:
-        """Interval distances (``q x n``) to every stored row."""
-        return np.sqrt(self.neighbor_squared_distances(query_rows))
-
-    def nearest_neighbor_candidates(self, query_rows: Rows, k: int) -> TopKResult:
-        """Cross-shard candidate lists for top-``k`` neighbour selection
-        (same contract as
-        :meth:`ShardedQueryEngine.nearest_neighbor_candidates`: global
-        indices, **squared** distances, shard order, not yet merged).
-
-        The one query that can *degrade*: under ``degraded="partial"``,
-        shards whose workers are unavailable are dropped from the gather
-        (and reported via :func:`collect_missing_shards`) — the merged
-        neighbours are then exact over the remaining shards' rows."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        features = self._features_of(query_rows)
-        deadline = current_deadline()
-        results, _ = self._gather_candidates(
-            {"op": "candidates", "k": k}, self._endpoints(features), deadline)
-        if len(results) == 1:
-            indices, scores = results[0]
-            return TopKResult(indices, scores)
-        return TopKResult(np.hstack([r[0] for r in results]),
-                          np.hstack([r[1] for r in results]))
-
-    def nearest_neighbors(self, query_rows: Rows, k: int) -> TopKResult:
-        """``k`` nearest stored rows per query row, merged across the
-        workers' local top-``k`` lists under the total order; bit-equal to
-        the unsharded :meth:`QueryEngine.nearest_neighbors`."""
-        candidates = self.nearest_neighbor_candidates(query_rows, k)
-        merged = top_k_from_candidates(candidates.scores, candidates.indices,
-                                       min(k, self.n_users), largest=False)
-        return TopKResult(merged.indices, np.sqrt(merged.scores))
-
-    # ------------------------------------------------------------------ #
-    # Stored-user queries (route indices to their owning workers)
-    # ------------------------------------------------------------------ #
-    def scores_for_users(self, indices: Optional[Sequence[int]] = None) -> np.ndarray:
-        """Predicted scores of stored users, rows in query order; bit-equal
-        to the unsharded :meth:`QueryEngine.scores_for_users`."""
-        deadline = current_deadline()
-        if indices is None:
-            blocks = self._run([
-                (lambda shard=shard: self.supervisor.call(
-                    shard, {"op": "scores_for_users", "all": True},
-                    deadline=deadline)[1][0])
-                for shard in range(self.n_shards)
-            ])
-            return blocks[0] if len(blocks) == 1 else np.vstack(blocks)
-        indices = np.asarray(indices, dtype=int)
-        flat = np.where(indices < 0, indices + self.n_users, indices)
-        if flat.size and (flat.min() < 0 or flat.max() >= self.n_users):
-            raise IndexError(
-                f"user index out of range for {self.n_users} stored rows"
-            )
-        owner = np.searchsorted(self._starts, flat, side="right") - 1
-        tasks = []
-        masks = []
-        for shard, (start, _) in enumerate(self.row_ranges):
-            mask = owner == shard
-            if not mask.any():
-                continue
-            local = flat[mask] - start
-            tasks.append(lambda shard=shard, local=local:
-                         self.supervisor.call(
-                             shard, {"op": "scores_for_users"}, [local],
-                             deadline=deadline)[1][0])
-            masks.append(mask)
-        out = np.empty((flat.size, self.n_items), dtype=self.item_map.dtype)
-        for mask, block in zip(masks, self._run(tasks)):
-            out[mask] = block
-        return out
-
-    def top_k_for_users(self, indices: Sequence[int], k: int) -> TopKResult:
-        """Best-``k`` items for stored users, from their trained latent
-        rows."""
-        return top_k(self.scores_for_users(indices), k, largest=True)
+        super().close(wait=wait)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 One home for the generator idioms the property tiers kept reinventing:
 bounded float draws, random dense interval-matrix pairs, integer-valued
-sparse patterns, and the brute-force product hull — all dtype-parametrized
+sparse patterns, the brute-force product hull, and circuit-breaker
+parameters with fake-clock steps — the matrix generators dtype-parametrized
 so the float32 precision tier (``tests/precision/``) exercises the exact
 same input families as the float64 property tests.
 
@@ -80,6 +81,17 @@ sparse_pair_params = st.tuples(
     st.integers(0, 10_000),   # seed
     st.floats(0.1, 0.7),      # density
 )
+
+#: (threshold, window, cooldown) of a circuit breaker.  Whole seconds, so
+#: whole-second fake-clock steps land exactly on window and cooldown edges.
+breaker_params = st.tuples(
+    st.integers(1, 4),        # threshold
+    st.integers(1, 10),       # window (s)
+    st.integers(1, 6),        # cooldown (s)
+)
+
+#: Fake-clock steps (whole seconds) between circuit-breaker operations.
+clock_steps = st.integers(0, 8)
 
 
 def random_matrix(params, dtype=np.float64):

@@ -10,6 +10,13 @@ import random
 import threading
 
 import pytest
+from hypothesis import settings
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from repro.serve.resilience import (
     BREAKER_CLOSED,
@@ -21,6 +28,8 @@ from repro.serve.resilience import (
     current_deadline,
     deadline_scope,
 )
+
+from strategies import breaker_params, clock_steps, common_settings
 
 
 class FakeClock:
@@ -256,3 +265,91 @@ class TestCircuitBreaker:
             CircuitBreaker(window=0)
         with pytest.raises(ValueError, match="positive"):
             CircuitBreaker(cooldown=-1)
+
+
+class CircuitBreakerModel(RuleBasedStateMachine):
+    """:class:`CircuitBreaker` against a small reference model, driven by a
+    fake clock through random sequences of failures, successes, ``allow``
+    calls and time steps."""
+
+    @initialize(params=breaker_params)
+    def start(self, params):
+        self.threshold, self.window, self.cooldown = params
+        self.clock = FakeClock()
+        self.breaker = CircuitBreaker(
+            threshold=self.threshold, window=float(self.window),
+            cooldown=float(self.cooldown), clock=self.clock)
+        self.state = BREAKER_CLOSED
+        self.failures = []  # model: timestamps of recorded failures
+        self.opened_at = None
+        self.probes = 0  # allow() grants since the breaker last opened
+
+    def _in_window(self):
+        now = self.clock.now
+        return [at for at in self.failures if now - at <= self.window]
+
+    @rule()
+    def record_failure(self):
+        self.failures.append(self.clock.now)
+        self.failures = self._in_window()
+        if (self.state == BREAKER_HALF_OPEN
+                or (self.state == BREAKER_CLOSED
+                    and len(self.failures) >= self.threshold)):
+            self.state, self.opened_at, self.probes = \
+                BREAKER_OPEN, self.clock.now, 0
+        self.breaker.record_failure(f"failure at {self.clock.now}")
+
+    @rule()
+    def record_success(self):
+        self.state, self.failures, self.opened_at = BREAKER_CLOSED, [], None
+        self.breaker.record_success()
+
+    @rule()
+    def allow(self):
+        expected = (self.state == BREAKER_CLOSED
+                    or (self.state == BREAKER_OPEN
+                        and self.clock.now - self.opened_at >= self.cooldown))
+        if expected and self.state == BREAKER_OPEN:
+            self.state = BREAKER_HALF_OPEN
+        granted = self.breaker.allow()
+        assert granted == expected
+        if granted and self.state != BREAKER_CLOSED:
+            self.probes += 1
+
+    @rule(seconds=clock_steps)
+    def advance(self, seconds):
+        self.clock.advance(seconds)
+
+    @invariant()
+    def state_matches_the_model(self):
+        assert self.breaker.state == self.state
+
+    @invariant()
+    def one_probe_per_cooldown_expiry(self):
+        assert self.probes <= 1
+
+    @invariant()
+    def half_open_refuses_everyone_else(self):
+        if self.state == BREAKER_HALF_OPEN:
+            assert not self.breaker.allow()
+
+    @invariant()
+    def retry_after_is_the_remaining_cooldown(self):
+        retry_after = self.breaker.retry_after()
+        assert retry_after >= 0.0
+        if self.state == BREAKER_CLOSED:
+            assert retry_after == 0.0
+        if self.state == BREAKER_OPEN:
+            assert retry_after == max(
+                0.0, self.opened_at + self.cooldown - self.clock.now)
+
+    @invariant()
+    def snapshot_counts_only_in_window_failures(self):
+        snapshot = self.breaker.snapshot()
+        assert snapshot["recent_failures"] == len(self._in_window())
+        assert snapshot["state"] == self.state
+
+
+CircuitBreakerModel.TestCase.settings = settings(
+    **common_settings(max_examples=200), stateful_step_count=40)
+TestCircuitBreakerModel = CircuitBreakerModel.TestCase
