@@ -13,6 +13,10 @@ section of the perf snapshot):
   breaker: failing fast is the whole point, so it must cost about a
   millisecond, not a respawn attempt (gate: < 250ms even on noisy CI).
 
+Every clocked query is a neighbour query, because only reference-space
+work reaches a worker: item-space queries are answered by the router's
+own fold-in projector and cannot see a worker fail.
+
 The model is deliberately small — these clocks measure the resilience
 machinery, not BLAS.
 """
@@ -74,7 +78,8 @@ def test_bench_restart_recovery(benchmark, model_store, query_rows):
     """Kill a worker, then clock the next query: detection, respawn,
     handshake and the retried request — with byte parity at the end."""
     store, decomposition = model_store
-    reference = QueryEngine(decomposition).top_k_items(query_rows, TOP_K)
+    reference = QueryEngine(decomposition).nearest_neighbors(query_rows,
+                                                            TOP_K)
     engine = WorkerShardedQueryEngine(store, "bench", retry=FAST_RETRY,
                                       breaker_threshold=1000,
                                       monitor_interval=60.0)
@@ -88,7 +93,7 @@ def test_bench_restart_recovery(benchmark, model_store, query_rows):
             while victim.process.poll() is None:
                 time.sleep(0.002)
             begin = time.perf_counter()
-            result = engine.top_k_items(query_rows, TOP_K)
+            result = engine.nearest_neighbors(query_rows, TOP_K)
             elapsed = time.perf_counter() - begin
             return result, elapsed
 
@@ -112,18 +117,18 @@ def test_bench_stall_p99(benchmark, model_store, query_rows):
     timeout must keep the tail far below the stall it absorbs."""
     store, decomposition = model_store
     single = query_rows.row(0)
-    reference = QueryEngine(decomposition).top_k_items(single, TOP_K)
+    reference = QueryEngine(decomposition).nearest_neighbors(single, TOP_K)
     engine = WorkerShardedQueryEngine(
         store, "bench", call_timeout=CALL_TIMEOUT, retry=FAST_RETRY,
         breaker_threshold=1000, monitor_interval=60.0,
         faults=(f"before_reply=stall(seconds={STALL_SECONDS},"
-                "op=top_k_items,after=1)"))
+                "op=candidates,shard=0,after=1)"))
     try:
         def stall_pass():
             latencies = []
             for _ in range(N_STALL_QUERIES):
                 begin = time.perf_counter()
-                result = engine.top_k_items(single, TOP_K)
+                result = engine.nearest_neighbors(single, TOP_K)
                 latencies.append(time.perf_counter() - begin)
                 np.testing.assert_array_equal(result.indices,
                                               reference.indices)

@@ -10,14 +10,18 @@ against the in-process thread-scatter :class:`ShardedQueryEngine`:
   asserted byte-identical to the unsharded :class:`QueryEngine`; the
   process boundary and the wire are execution details, never semantics;
 * **throughput gate, on real multicore only** — worker-process batched
-  top-k must beat the thread scatter by >= 1.5x *when at least 4 usable
-  cores exist*.  Threads time-slice one GIL for everything outside BLAS;
-  processes do not.  On a 1-core container the processes time-slice too
-  and pay the wire on top, so the gate arms only when the parallelism it
-  measures is physically available (both figures are always recorded).
+  nearest-neighbour search must beat the thread scatter by >= 1.5x *when
+  at least 4 usable cores exist*.  Threads time-slice one GIL for
+  everything outside BLAS; processes do not.  On a 1-core container the
+  processes time-slice too and pay the wire on top, so the gate arms only
+  when the parallelism it measures is physically available (both figures
+  are always recorded).
 
-Per-request latency percentiles (p50/p95/p99) of the worker path are
-recorded for the serving snapshot.
+Both tests time neighbour queries because those are what still cross
+processes: item-space queries (top-k items) are answered by the router's
+own fold-in projector on either backend, so timing them would compare one
+code path with itself.  Per-request latency percentiles (p50/p95/p99) of
+the worker path are recorded for the serving snapshot.
 """
 
 import tempfile
@@ -43,7 +47,7 @@ N_USERS, N_ITEMS = PRESET.n_users, PRESET.n_items
 RANK, TOP_K, N_SHARDS = 16, 10, 4
 N_QUERIES = 256
 #: Row-at-a-time requests in the latency-percentile pass (each pays a full
-#: fold-in + socket round-trip, so a smaller count keeps the pass honest
+#: fold-in + socket round-trips, so a smaller count keeps the pass honest
 #: without dominating the suite).
 N_LATENCY_QUERIES = 128
 
@@ -101,17 +105,18 @@ def _best_of(fn, rounds=3):
 
 
 def test_bench_worker_batched_topk(benchmark, engines, query_rows):
-    """Worker-process batched top-k vs the in-process thread scatter;
-    byte parity asserted on every benchmarked query."""
+    """Worker-process batched top-k neighbours vs the in-process thread
+    scatter; byte parity asserted on every benchmarked query."""
     unsharded, threaded, workers = engines
 
     worker_result = benchmark.pedantic(
-        lambda: workers.top_k_items(query_rows, TOP_K), rounds=3, iterations=1)
+        lambda: workers.nearest_neighbors(query_rows, TOP_K), rounds=3,
+        iterations=1)
     worker_seconds = benchmark.stats.stats.min
 
     threads_seconds, threads_result = _best_of(
-        lambda: threaded.top_k_items(query_rows, TOP_K))
-    reference = unsharded.top_k_items(query_rows, TOP_K)
+        lambda: threaded.nearest_neighbors(query_rows, TOP_K))
+    reference = unsharded.nearest_neighbors(query_rows, TOP_K)
 
     # Parity first: whatever the clocks say, the answers must be the
     # unsharded engine's answers, bit for bit, from both backends.
@@ -136,7 +141,7 @@ def test_bench_worker_batched_topk(benchmark, engines, query_rows):
 
     if gate_active:
         assert worker_seconds * MIN_WORKER_SPEEDUP <= threads_seconds, (
-            f"worker-process top-k is only "
+            f"worker-process neighbour top-k is only "
             f"{threads_seconds / worker_seconds:.2f}x the thread scatter "
             f"on {cores} cores (gate: {MIN_WORKER_SPEEDUP}x)"
         )
@@ -147,7 +152,7 @@ def test_bench_worker_request_latency(benchmark, engines, query_rows):
     each request a fold-in plus socket round-trips); parity per row."""
     unsharded, _, workers = engines
     single_rows = [query_rows.row(i) for i in range(N_LATENCY_QUERIES)]
-    reference = unsharded.top_k_items(
+    reference = unsharded.nearest_neighbors(
         IntervalMatrix(query_rows.lower[:N_LATENCY_QUERIES],
                        query_rows.upper[:N_LATENCY_QUERIES], check=False),
         TOP_K)
@@ -156,7 +161,7 @@ def test_bench_worker_request_latency(benchmark, engines, query_rows):
         results, latencies = [], []
         for row in single_rows:
             begin = time.perf_counter()
-            results.append(workers.top_k_items(row, TOP_K))
+            results.append(workers.nearest_neighbors(row, TOP_K))
             latencies.append(time.perf_counter() - begin)
         return results, latencies
 

@@ -701,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--inject-faults", default=None, metavar="SPEC",
                        help="arm a fault-injection spec in every spawned "
                             "worker (chaos testing; see repro.serve.faults), "
-                            "e.g. 'before_reply=crash(op=top_k_items,times=1)'")
+                            "e.g. 'before_reply=crash(op=candidates,times=1)'")
     serve.set_defaults(handler=_cmd_serve)
 
     query = subparsers.add_parser(

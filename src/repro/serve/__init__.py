@@ -17,9 +17,11 @@ The subsystem has seven layers, each usable on its own (see
   dimension, :class:`~repro.serve.shard.ShardedModelStore` publishes
   generation-versioned per-shard archives (hitless republish), and
   :class:`~repro.serve.shard.ShardedQueryEngine` — the one scatter-gather
-  router — scatters queries across its shards and gathers with a
-  byte-stable merge, calling each shard through one small interface, so
-  the same router serves in-process shards and worker processes;
+  router — answers item-space queries (``/recommend``) from its shared
+  fold-in projector, scatters reference-space queries across its shards
+  and gathers with a byte-stable merge, calling each shard through one
+  small interface, so the same router serves in-process shards and worker
+  processes;
 * :mod:`repro.serve.protocol` — the length-prefixed npy frame format
   between the front end and shard workers (no pickle on the wire);
 * :mod:`repro.serve.worker` — per-shard **worker processes**:
@@ -29,7 +31,8 @@ The subsystem has seven layers, each usable on its own (see
   them — it only builds worker shards, so every answer is the router's;
   :mod:`repro.serve.resilience` supplies the deadlines, retry backoff,
   per-shard circuit breakers and shard-call errors that keep one stalled
-  or crash-looping worker from taking the service with it, and
+  or crash-looping worker from taking the service with it (only
+  shard-backed queries can see a worker fail), and
   :mod:`repro.serve.faults` is the deterministic fault-injection harness
   the chaos test tier proves all of it against;
 * :mod:`repro.serve.http` / :mod:`repro.serve.async_http` — a stdlib-only

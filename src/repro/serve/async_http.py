@@ -186,7 +186,12 @@ class AsyncServingServer:
             name, separator, value = line.partition(":")
             if not separator:
                 raise _BadRequest(f"malformed header line {line!r}")
-            headers[name.strip().lower()] = value.strip()
+            name = name.strip().lower()
+            if name == "content-length" and name in headers:
+                # Which one frames the body is ambiguous, and guessing
+                # leaves the rest of the body to be read as a request.
+                raise _BadRequest("repeated Content-Length header")
+            headers[name] = value.strip()
         connection = headers.get("connection", "").lower()
         close_requested = (connection == "close"
                            or (version == "HTTP/1.0"
@@ -200,14 +205,13 @@ class AsyncServingServer:
                          headers: Dict[str, str],
                          expects_continue: bool) -> bytes:
         raw_length = headers.get("content-length", "0")
-        try:
-            length = int(raw_length)
-        except ValueError:
+        # 1*DIGIT only (RFC 9110 section 8.6): int() would also take a
+        # sign, underscores and non-ASCII digits.
+        if not (raw_length.isascii() and raw_length.isdigit()):
             raise _BadRequest(f"invalid Content-Length {raw_length!r}")
         if "transfer-encoding" in headers:
             raise _BadRequest("chunked request bodies are not supported")
-        if length < 0:
-            raise _BadRequest(f"invalid Content-Length {raw_length!r}")
+        length = int(raw_length)
         if length > MAX_BODY_BYTES:
             raise _BadRequest("request body too large", 413)
         if length == 0:

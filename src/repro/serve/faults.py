@@ -26,7 +26,7 @@ Rule grammar (semicolon-separated, whitespace-insensitive)::
 
     point=action(param=value,param=value,...)
 
-    before_reply=crash(op=top_k_items,shard=1,after=2,times=1)
+    before_reply=crash(op=candidates,shard=1,after=2,times=1)
     before_reply=stall(seconds=30,op=candidates)
     load=exit(code=3,after=1,times=4)
     connect=stall(seconds=2)

@@ -31,7 +31,8 @@ meaningful against a 2 000-item model.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from functools import cached_property
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -60,8 +61,9 @@ def batch_invariant_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class FoldInProjector:
     """Maps unseen interval rows into a decomposition's latent row space.
 
-    All pseudo-inverses are precomputed once at construction (``m x r`` each),
-    so folding a batch of rows is a single matrix product.
+    Each pseudo-inverse (``m x r``) is computed once, on the first dense
+    fold-in that needs it, so folding a batch of rows is a single matrix
+    product; an engine that only scores stored users never computes one.
 
     Every method accepts ``rows`` as a dense ``(q, m)``
     :class:`IntervalMatrix` / ndarray (a 1-D length-``m`` row is promoted to
@@ -95,14 +97,13 @@ class FoldInProjector:
         self.rank = decomposition.rank
         self.n_items = int(decomposition.v.shape[0])
 
-        #: Scalar item map ``Sigma_mid V_mid^T`` (r x m) and its pseudo-inverse.
+        #: Scalar item map ``Sigma_mid V_mid^T`` (r x m).
         self.item_map = decomposition.item_map()
         #: Accumulation dtype for the fold-in solves; ``None`` means "the
         #: storage dtype", which keeps the float64 path byte-identical.
         self.accum_dtype = None if accum_dtype is None else np.dtype(accum_dtype)
         if self.accum_dtype is not None and self.accum_dtype == self.item_map.dtype:
             self.accum_dtype = None
-        self._pinv_mid = self._pinv(self.item_map)
 
         sigma_lo, sigma_hi = decomposition.sigma_endpoints()
         v_lo, v_hi = decomposition.v_endpoints()
@@ -111,11 +112,18 @@ class FoldInProjector:
             #: whose per-row column restriction cannot reuse a global pinv.
             self._map_lower = sigma_lo @ v_lo.T
             self._map_upper = sigma_hi @ v_hi.T
-            self._pinv_lower = self._pinv(self._map_lower)
-            self._pinv_upper = self._pinv(self._map_upper)
         else:
             self._map_lower = self._map_upper = self.item_map
-            self._pinv_lower = self._pinv_upper = self._pinv_mid
+
+    @cached_property
+    def _pinv_mid(self) -> np.ndarray:
+        return self._pinv(self.item_map)
+
+    @cached_property
+    def _pinv_endpoints(self) -> Tuple[np.ndarray, np.ndarray]:
+        if self._map_lower is self.item_map:  # scalar factors: one pinv
+            return self._pinv_mid, self._pinv_mid
+        return self._pinv(self._map_lower), self._pinv(self._map_upper)
 
     def _pinv(self, item_map: np.ndarray) -> np.ndarray:
         """Pseudo-inverse in the accumulation dtype (kept there for reuse)."""
@@ -206,8 +214,9 @@ class FoldInProjector:
             lower = self._masked_least_squares(rows, rows.lower.data, self._map_lower)
             upper = self._masked_least_squares(rows, rows.upper.data, self._map_upper)
         else:
-            lower = self._project(rows.lower, self._pinv_lower)
-            upper = self._project(rows.upper, self._pinv_upper)
+            pinv_lower, pinv_upper = self._pinv_endpoints
+            lower = self._project(rows.lower, pinv_lower)
+            upper = self._project(rows.upper, pinv_upper)
         return IntervalMatrix(np.minimum(lower, upper), np.maximum(lower, upper))
 
     def latent_features(self, rows: Rows) -> IntervalMatrix:

@@ -17,12 +17,13 @@ that grows with users — while replicating the item-side factors (``Sigma``,
   fresh generation and swaps the manifest atomically, so live republish is
   hitless;
 * :class:`ShardedQueryEngine` — the one scatter-gather router, with the
-  same query API as :class:`~repro.serve.query.QueryEngine`: it *scatters*
-  work across its shards (thread fan-out over a shared pool) and *gathers*
-  with a byte-stable merge.  It calls every shard through one small
-  interface (:data:`ShardCall`, speaking the op set of :func:`_run_op`), so
-  the same router serves in-process shards — one engine per shard, built
-  here — and the worker processes of
+  same query API as :class:`~repro.serve.query.QueryEngine`: it answers
+  item-space queries from its one shared fold-in projector, *scatters*
+  reference-space work across its shards (thread fan-out over a shared
+  pool) and *gathers* with a byte-stable merge.  It calls every shard
+  through one small interface (:data:`ShardCall`, speaking the op set of
+  :func:`_run_op`), so the same router serves in-process shards — one
+  engine per shard, built here — and the worker processes of
   :class:`~repro.serve.worker.WorkerShardedQueryEngine`.
 
 **Why the gather is byte-stable.**  Every scoring path in the serving layer
@@ -566,13 +567,6 @@ def _run_op(engine: QueryEngine, row_start: int, op: Optional[object],
     """
     if op == "ping":
         return {"ok": True, "pid": os.getpid()}, []
-    if op == "reconstruct_rows":
-        rows = _interval_pair(arrays, "reconstruct_rows")
-        return {"ok": True}, [engine.reconstruct_rows(rows)]
-    if op == "top_k_items":
-        rows = _interval_pair(arrays, "top_k_items")
-        result = engine.top_k_items(rows, _k_of(header))
-        return {"ok": True}, [result.indices, result.scores]
     if op == "squared_distances":
         features = _interval_pair(arrays, "squared_distances")
         return {"ok": True}, [engine.squared_distances_to_references(features)]
@@ -648,10 +642,11 @@ class ShardedQueryEngine:
     would produce over the merged model.  What changes is the execution
     shape:
 
-    * *item-space queries* (``top_k_items``, ``reconstruct_rows``) scatter
-      contiguous chunks of the query batch across the shards — every shard
-      replicates the item map, and the scoring paths are row-local, so any
-      partition of the batch concatenates to the same bytes;
+    * *item-space queries* (``top_k_items``, ``reconstruct_rows``) never
+      call a shard: they need only the replicated item factors, which the
+      router's one shared projector holds, so a dense batch is split into
+      contiguous chunks scored on this process's pool (the scoring paths
+      are row-local, so any partition concatenates to the same bytes);
     * *reference-space queries* (``nearest_neighbors``) fold the queries in
       once, scatter the distance computation so each shard scores only its
       own row range of stored users, reduce per shard with
@@ -662,26 +657,25 @@ class ShardedQueryEngine:
     * *stored-user queries* (``scores_for_users``) route each index to the
       shard that owns its row range and reassemble rows in query order.
 
-    Sparse query rows fold in here, through the shared projector: their
-    masked per-row least squares does not benefit from shard fan-out.
-
     The router calls each shard through one :data:`ShardCall`.  This class
     builds in-process shards — one :class:`QueryEngine` per shard, sharing
     one fold-in projector — and
     :class:`~repro.serve.worker.WorkerShardedQueryEngine` builds the same
     router over one worker process per shard.  Scatter runs on a lazily
-    created thread pool; its width follows where shard compute runs: at
-    most the usable CPUs for in-process shards (numpy releases the GIL in
-    the hot paths), one thread per shard for workers.  The pool is an
-    execution detail: results never depend on thread scheduling.
+    created thread pool.  Item-space chunks number at most the usable CPUs
+    (the projector computes in this process; numpy releases the GIL in the
+    hot paths); the reference-space fan-out follows where shard compute
+    runs: at most the usable CPUs for in-process shards, one thread per
+    shard for workers.  The pool is an execution detail: results never
+    depend on thread scheduling.
 
-    **Fault tolerance** (only a worker shard ever fails).  Every query
-    method captures the ambient request deadline
+    **Fault tolerance** (only a worker shard ever fails, and only
+    shard-backed queries can see it).  Every query method captures the
+    ambient request deadline
     (:func:`~repro.serve.resilience.current_deadline`) on the request
     thread and passes it into each shard call — pool threads do not inherit
-    thread-locals.  An item-space chunk whose shard is unavailable is
-    *rerouted* to another shard whose breaker is closed (the item factors
-    are replicated, so the answer stays byte-identical).  Reference-space
+    thread-locals.  Item-space answers cannot fail, time out or degrade
+    because of a shard.  Reference-space
     candidates own their rows: under ``degraded="partial"`` an unavailable
     shard's candidates are dropped and reported via
     :func:`~repro.serve.resilience.collect_missing_shards`; the default
@@ -740,24 +734,19 @@ class ShardedQueryEngine:
                         f"the shard row counts {counts}"
                     )
                 expected_start = stop
-        # Shard compute runs on this process's cores: fanning one CPU out
-        # over four threads would only add scheduling overhead to every
-        # request, so the width is the CPUs this process may actually run
-        # on (container quotas, affinity masks), not the host's core count.
         self._route(projector, row_ranges,
                     [_local_shard(engine, start)
-                     for engine, (start, _) in zip(self.engines, row_ranges)],
-                    scatter_width=min(len(self.engines), usable_cpu_count()))
+                     for engine, (start, _) in zip(self.engines, row_ranges)])
 
     def _route(self, projector: FoldInProjector, row_ranges: RowRanges,
-               shards: Sequence[ShardCall], scatter_width: int,
-               degraded: str = "fail",
-               breaker_closed: Callable[[int], bool] = lambda shard: True,
-               ) -> None:
+               shards: Sequence[ShardCall],
+               scatter_width: Optional[int] = None,
+               degraded: str = "fail") -> None:
         """Set up the router over ``shards`` (one :data:`ShardCall` each).
 
-        ``breaker_closed(shard)`` tells the item-space reroute which other
-        shards are worth trying when one is unavailable.
+        ``scatter_width`` bounds the reference-space fan-out; by default it
+        is the item-space chunk count, right for shards computing in this
+        process.
         """
         if degraded not in ("fail", "partial"):
             raise ValueError(
@@ -772,12 +761,17 @@ class ShardedQueryEngine:
         self.item_map = projector.item_map
         self.n_items = projector.n_items
         self._shards = list(shards)
-        self._breaker_closed = breaker_closed
-        #: How many chunks item-space queries scatter into.  Unlike the
+        #: How many chunks item-space queries split into.  Unlike the
         #: reference-space scatter (structurally one task per shard), batch
         #: chunking is a free choice — row-local scoring makes any chunking
-        #: byte-identical — so it follows where shard compute runs.
-        self._scatter_width = max(1, scatter_width)
+        #: byte-identical.  The projector computes on this process's cores,
+        #: whatever the backend, and fanning one CPU out over four threads
+        #: would only add scheduling overhead to every request, so this is
+        #: the CPUs this process may actually run on (container quotas,
+        #: affinity masks), not the host's core count.
+        self._item_chunks = min(self.n_shards, usable_cpu_count())
+        self._scatter_width = (self._item_chunks if scatter_width is None
+                               else max(1, scatter_width))
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
         self._closed = False
@@ -867,76 +861,54 @@ class ShardedQueryEngine:
                 if not isinstance(outcome, ShardUnavailableError)]
 
     # ------------------------------------------------------------------ #
-    # Item-space queries (scatter the batch; item factors are replicated)
+    # Item-space queries (answered by the shared projector; no shard call)
     # ------------------------------------------------------------------ #
-    def _split_rows(self, rows: IntervalMatrix) -> List[List[np.ndarray]]:
-        """Endpoint arrays of contiguous chunks of a dense query batch, one
-        per scatter slot at most; row-local scoring makes the cut points
-        irrelevant to the answers."""
-        n_chunks = min(self._scatter_width, rows.shape[0])
+    def _split_rows(self, rows: IntervalMatrix) -> List[IntervalMatrix]:
+        """Contiguous chunks of a dense query batch, one per item-space
+        slot at most; row-local scoring makes the cut points irrelevant to
+        the answers."""
+        n_chunks = min(self._item_chunks, rows.shape[0])
         if n_chunks <= 1:
-            return [[rows.lower, rows.upper]]
-        return [[rows.lower[start:stop], rows.upper[start:stop]]
+            return [rows]
+        return [rows[start:stop]
                 for start, stop in plan_row_ranges(rows.shape[0], n_chunks)]
 
-    def _item_space(self, rows: IntervalMatrix,
-                    header: Dict[str, object]) -> List[List[np.ndarray]]:
-        """Scatter the chunks of ``rows``; each chunk's reply, in batch
-        order."""
-        deadline = current_deadline()
-        return self._run([
-            (lambda shard=shard, chunk=chunk:
-             self._call_item(shard, header, chunk, deadline))
-            for shard, chunk in enumerate(self._split_rows(rows))
-        ])
+    def _item_space(self, user_rows: Rows,
+                    score: Callable[[Rows], object]) -> List[object]:
+        """``score`` applied to the chunks of a query batch, in batch order.
 
-    def _call_item(self, shard: int, header: Dict[str, object],
-                   arrays: Sequence[np.ndarray],
-                   deadline: Optional[Deadline]) -> List[np.ndarray]:
-        """One item-space chunk call, rerouted around an unavailable shard.
-
-        Item factors (``Sigma``/``V``) are replicated bit-for-bit across
-        shards, so *any* shard computes the exact same bytes for an
-        item-space chunk — rerouting is free of the degradation question
-        entirely.  Only when every shard refuses does the original error
-        surface.
+        Item-space answers need only the replicated item factors, which
+        the router's own projector holds, so no shard is ever called: dense
+        batches fan out over this process's pool, and sparse rows (whose
+        masked per-row least squares does not benefit from fan-out) score
+        in one call.
         """
-        try:
-            return self._shards[shard](header, arrays, deadline)
-        except ShardUnavailableError as error:
-            for other in range(self.n_shards):
-                if other == shard or not self._breaker_closed(other):
-                    continue
-                try:
-                    result = self._shards[other](header, arrays, deadline)
-                except ShardUnavailableError:
-                    continue
-                logger.warning(
-                    "rerouted item-space %s chunk from unavailable "
-                    "shard %d to shard %d", header.get("op"), shard, other)
-                return result
-            raise error
+        rows = self.projector._coerce_rows(user_rows)
+        if is_sparse_interval(rows):
+            return [score(rows)]
+        return self._run([(lambda chunk=chunk: score(chunk))
+                          for chunk in self._split_rows(rows)])
 
     def reconstruct_rows(self, user_rows: Rows) -> np.ndarray:
         """Predicted scores (``q x m``) for unseen rows; bit-equal to the
         unsharded :meth:`QueryEngine.reconstruct_rows`."""
-        rows = self.projector._coerce_rows(user_rows)
-        if is_sparse_interval(rows):
-            return self.projector.reconstruct_rows(rows)
-        replies = self._item_space(rows, {"op": "reconstruct_rows"})
-        return _joined([reply[0] for reply in replies], np.vstack)
+        return _joined(self._item_space(user_rows,
+                                        self.projector.reconstruct_rows),
+                       np.vstack)
 
     def top_k_items(self, user_rows: Rows, k: int) -> TopKResult:
         """Best-``k`` items per query row; bit-equal to the unsharded
         :meth:`QueryEngine.top_k_items` (selection is row-local, so chunks
         gather by simple concatenation in batch order)."""
         k = _checked_k(k)
-        rows = self.projector._coerce_rows(user_rows)
-        if is_sparse_interval(rows):
-            return top_k(self.projector.reconstruct_rows(rows), k, largest=True)
-        replies = self._item_space(rows, {"op": "top_k_items", "k": k})
-        return TopKResult(_joined([reply[0] for reply in replies], np.vstack),
-                          _joined([reply[1] for reply in replies], np.vstack))
+        results = self._item_space(
+            user_rows,
+            lambda rows: top_k(self.projector.reconstruct_rows(rows), k,
+                               largest=True))
+        return TopKResult(_joined([result.indices for result in results],
+                                  np.vstack),
+                          _joined([result.scores for result in results],
+                                  np.vstack))
 
     # ------------------------------------------------------------------ #
     # Reference-space queries (scatter the stored rows; gather by merge)

@@ -19,15 +19,16 @@ whole service down.  This module moves each row-range shard into its own
   :class:`~repro.serve.shard.ShardedQueryEngine` over worker shards: it
   only builds one shard call per worker (through the supervisor) and adds
   :meth:`~WorkerShardedQueryEngine.liveness`; every query method, and so
-  every answer, is the router's.
+  every answer, is the router's.  Only reference-space work (neighbour
+  distances and candidates, stored-user scores) crosses to a worker;
+  item-space queries are answered by the router's own fold-in projector.
 
 **Why results stay byte-identical.**  Every scoring path is row-local and
-deterministic (einsum fold-in, element-local distances), the replicated
-item factors are bitwise equal across shards — so each worker's fold-in
-projector computes the exact same pseudo-inverse bits the in-process router
-shares — and npy framing round-trips array bytes exactly.  The gather then
-merges under :func:`~repro.serve.query.top_k`'s total order, which provably
-reproduces the unsharded selection.  A worker executes the same
+deterministic (einsum fold-in, element-local distances), the router folds
+queries in once and ships the features, and npy framing round-trips array
+bytes exactly.  The gather then merges under
+:func:`~repro.serve.query.top_k`'s total order, which provably reproduces
+the unsharded selection.  A worker executes the same
 :func:`~repro.serve.shard._run_op` an in-process shard does.  The parity
 suite asserts byte equality against both
 :class:`~repro.serve.query.QueryEngine` and the in-process router
@@ -102,8 +103,6 @@ from repro.serve.shard import (
     ShardedModelStore,
     ShardedQueryEngine,
     ShardManifest,
-    _interval_pair,
-    _k_of,
     _run_op,
 )
 from repro.serve.store import ModelStoreError
@@ -901,7 +900,8 @@ class WorkerShardedQueryEngine(ShardedQueryEngine):
     Every query method, and so every answer, is
     :class:`~repro.serve.shard.ShardedQueryEngine`'s; this class only builds
     the shards, each a call through :meth:`ShardWorkerSupervisor.call`.
-    Shard work then truly parallelizes across cores instead of
+    Shard work (neighbour and stored-user queries; item-space queries never
+    leave the router) then truly parallelizes across cores instead of
     time-slicing one GIL, and a crashed shard restarts without taking the
     front end down.  ``degraded`` selects what an unavailable shard does
     to a neighbour query (see the router); the other keywords tune the
@@ -934,14 +934,13 @@ class WorkerShardedQueryEngine(ShardedQueryEngine):
             return lambda header, arrays, deadline: self.supervisor.call(
                 shard, header, arrays, deadline=deadline)[1]
 
-        # Front-end threads only wait on sockets here — the compute runs in
-        # the worker processes — so the width is one thread per worker, not
-        # capped by this process's CPU count.
+        # Front-end threads only wait on sockets for shard calls — the
+        # compute runs in the worker processes — so the reference-space
+        # fan-out is one thread per worker, not capped by this process's
+        # CPU count.
         self._route(FoldInProjector(shard0, kernel=kernel), manifest.row_ranges,
                     [worker_shard(shard) for shard in range(n_shards)],
-                    scatter_width=n_shards, degraded=degraded,
-                    breaker_closed=lambda shard:
-                        self.supervisor.breaker_state(shard) == BREAKER_CLOSED)
+                    scatter_width=n_shards, degraded=degraded)
         self.generation = manifest.record.generation
         self.dtype = manifest.record.dtype
         self.supervisor = ShardWorkerSupervisor(
@@ -965,9 +964,10 @@ class WorkerShardedQueryEngine(ShardedQueryEngine):
     def close(self, wait: bool = True) -> None:
         """Reap every worker process and the scatter pool (idempotent).
 
-        Unlike an in-process router, a closed worker router cannot keep
-        answering — its compute lives in the reaped processes — so
-        subsequent queries raise :class:`WorkerError`.
+        Item-space queries keep answering afterwards, serially, as on a
+        closed in-process router — the projector lives in this process.
+        Shard-backed queries (neighbours, stored users) raise
+        :class:`WorkerError`: their compute lived in the reaped processes.
         """
         self.supervisor.close()
         super().close(wait=wait)

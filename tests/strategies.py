@@ -2,8 +2,9 @@
 
 One home for the generator idioms the property tiers kept reinventing:
 bounded float draws, random dense interval-matrix pairs, integer-valued
-sparse patterns, the brute-force product hull, and circuit-breaker
-parameters with fake-clock steps — the matrix generators dtype-parametrized
+sparse patterns, the brute-force product hull, circuit-breaker
+parameters with fake-clock steps, and micro-batcher request groups — the
+matrix generators dtype-parametrized
 so the float32 precision tier (``tests/precision/``) exercises the exact
 same input families as the float64 property tests.
 
@@ -92,6 +93,14 @@ breaker_params = st.tuples(
 
 #: Fake-clock steps (whole seconds) between circuit-breaker operations.
 clock_steps = st.integers(0, 8)
+
+#: ``max_batch`` of a micro-batcher under test.
+batcher_max_batch = st.integers(1, 4)
+
+#: One group of concurrent micro-batcher requests, as a per-request flag
+#: "this request makes ``run_batch`` raise" (about one request in eight).
+request_groups = st.lists(st.integers(0, 7).map(lambda draw: draw == 0),
+                          min_size=1, max_size=12)
 
 
 def random_matrix(params, dtype=np.float64):

@@ -219,11 +219,26 @@ class TestProtocolErrors:
         reply = self._raw(served["address"], head + body)
         assert reply.startswith(b"HTTP/1.1 400")
 
-    def test_invalid_content_length_is_400(self, served):
+    @pytest.mark.parametrize("content_length", [
+        b"Content-Length: banana",
+        b"Content-Length: +43",
+        b"Content-Length: 4_3",
+        b"Content-Length: 43\r\nContent-Length: 3",
+    ], ids=["banana", "plus-sign", "underscore", "repeated"])
+    def test_invalid_content_length_is_400(self, served, content_length):
+        # Only ASCII digits frame a body (RFC 9110 section 8.6), and a second
+        # Content-Length line is refused: read with the last one, the
+        # body's tail below would be parsed as a smuggled second request.
+        smuggled = b"GET /healthz HTTP/1.1\r\nHost: xxxxxxx\r\n\r\n"
+        body = b"{} " + smuggled
+        assert len(body) == 43
         reply = self._raw(served["address"],
                           b"POST /recommend HTTP/1.1\r\nHost: x\r\n"
-                          b"Content-Length: banana\r\n\r\n")
+                          + content_length + b"\r\n\r\n" + body)
         assert reply.startswith(b"HTTP/1.1 400")
+        assert reply.count(b"HTTP/1.1 ") == 1  # the connection was closed
+        error = json.loads(reply.split(b"\r\n\r\n", 1)[1])["error"]
+        assert "Content-Length" in error
 
     def test_oversized_body_is_413_before_reading_it(self, served):
         reply = self._raw(served["address"],

@@ -32,7 +32,7 @@ from repro.core import registry
 from repro.interval.random import random_interval_matrix
 from repro.serve.async_http import create_server
 from repro.serve.resilience import RetryPolicy
-from repro.serve.shard import ShardedModelStore
+from repro.serve.shard import ShardedModelStore, ShardedQueryEngine
 
 pytestmark = pytest.mark.chaos
 
@@ -109,12 +109,12 @@ def _chaos_server(store, faults, *, degraded="fail", request_timeout=5.0,
 class TestCrashChaosKeepsBytesExact:
     def test_concurrent_traffic_over_crashing_workers(self, store, payloads,
                                                       reference):
-        # Every worker crashes on its third top_k_items: with four clients
-        # hammering /recommend, workers die and respawn continuously for
-        # the whole run.  Availability may dip (504 when a crash storm
+        # Every worker crashes on its third candidates request: with four
+        # clients hammering /neighbors, workers die and respawn
+        # continuously for the whole run.  Availability may dip (504 when a crash storm
         # outlasts the deadline) — bytes may not.
         server, address = _chaos_server(
-            store, "before_reply=crash(op=top_k_items,after=2)",
+            store, "before_reply=crash(op=candidates,after=2)",
             request_timeout=5.0, breaker_threshold=1000)
         try:
             outcomes = []  # (status, body, elapsed) triples, all threads
@@ -137,8 +137,8 @@ class TestCrashChaosKeepsBytesExact:
                     started = time.monotonic()
                     try:
                         status, body, _ = _request(
-                            address, "POST", "/recommend",
-                            payloads["recommend"], timeout=30)
+                            address, "POST", "/neighbors",
+                            payloads["neighbors"], timeout=30)
                     except Exception as error:  # noqa: BLE001
                         errors.append(repr(error))
                         return
@@ -158,7 +158,7 @@ class TestCrashChaosKeepsBytesExact:
             assert len(successes) >= wanted  # the fleet kept serving
             assert set(statuses) <= {200, 503, 504}  # crash never leaks a 500
             # The headline invariant: zero non-degraded wrong bytes.
-            assert all(body == reference["recommend"] for body in successes)
+            assert all(body == reference["neighbors"] for body in successes)
             # p99 latency is bounded by the request deadline (+ merge and
             # client slack) — a crash mid-request costs a retry, not a hang.
             latencies = sorted(elapsed for _, _, elapsed in outcomes)
@@ -175,8 +175,8 @@ class TestCrashChaosKeepsBytesExact:
 
 
 class TestStallsBecomeDeadlines:
-    def test_stalled_gather_returns_504_within_budget(self, store, payloads,
-                                                      reference):
+    def test_stalled_gather_returns_504_within_budget(self, store, model,
+                                                      payloads, reference):
         # Every candidates request stalls for 3s against a 1s deadline:
         # /neighbors must come back as a prompt 504, while /recommend
         # (item space, unfaulted) stays exact throughout.
@@ -203,16 +203,32 @@ class TestStallsBecomeDeadlines:
             assert elapsed < 2.5  # deadline cut the 3s stall short
             # The timed-out exchanges left their workers dead.  Wait until
             # the supervisor's monitor has respawned them (a spawn lasts as
-            # long as the worker's imports), then the item-space query must
-            # come back exact on the first try.
+            # long as the worker's imports).
             give_up_at = time.monotonic() + 60.0
-            while time.monotonic() < give_up_at:
+            respawned = False
+            while not respawned and time.monotonic() < give_up_at:
                 workers = supervisor.liveness()
-                if (all(worker["alive"] for worker in workers)
-                        and sum(worker["restarts"] for worker in workers)
-                        > restarts_before):
-                    break
-                time.sleep(0.05)
+                respawned = (all(worker["alive"] for worker in workers)
+                             and sum(worker["restarts"] for worker in workers)
+                             > restarts_before)
+                if not respawned:
+                    time.sleep(0.05)
+            assert respawned, workers
+            restarts_after = sum(worker["restarts"] for worker in workers)
+            # The respawned fleet must answer exactly, on the first try: a
+            # squared_distances op (which the candidates stall does not
+            # match) reaches every worker and returns the in-process bytes.
+            matrix, _ = model
+            in_process = ShardedQueryEngine(store.load_shards("m")[0])
+            try:
+                expected = in_process.neighbor_squared_distances(matrix)
+            finally:
+                in_process.close()
+            actual = server.app.engine("m").neighbor_squared_distances(matrix)
+            assert actual.tobytes() == expected.tobytes()
+            assert sum(worker["restarts"]
+                       for worker in supervisor.liveness()) == restarts_after
+            # The item-space query never depended on the workers.
             status, body, _ = _request(address, "POST", "/recommend",
                                        payloads["recommend"])
             assert (status, body) == (200, reference["recommend"])
@@ -235,7 +251,8 @@ class TestBreakerAndDegradedMode:
             assert status == 503
             assert "shard 1" in json.loads(body)["error"]
             assert int(headers["Retry-After"]) >= 1
-            # Item-space traffic reroutes around the broken shard instead.
+            # Item-space traffic never reaches a shard: the router's own
+            # projector answers it.
             status, body, _ = _request(address, "POST", "/recommend",
                                        payloads["recommend"])
             assert (status, body) == (200, reference["recommend"])

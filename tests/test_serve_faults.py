@@ -10,14 +10,15 @@ environment).  The invariants under test are the tentpole claims:
 * a worker that **stalls** surfaces as a bounded timeout (never a wedged
   request lock), and an end-to-end deadline turns it into
   :class:`DeadlineExceededError` within the budget;
-* a **corrupt frame** is a transport failure like any other: retried,
-  restarted, and — for item-space ops — rerouted byte-identically;
+* a **corrupt frame** is a transport failure like any other: retried on
+  a restarted worker, and the answer stays byte-identical;
 * a **crash-looping** shard opens its circuit breaker (failing fast with
   ``retry_after``), and a half-open probe closes it again once the shard
   behaves;
 * under ``degraded="partial"``, an unavailable shard's candidates are
   dropped *loudly* (flagged via :func:`collect_missing_shards`) and the
-  remaining merge is exact over the live shards.
+  remaining merge is exact over the live shards, while item-space answers
+  (the router's own projector) never call a shard at all.
 
 Fault state lives per worker *process* (a respawn re-parses the spec), so
 every scenario here is phrased with ``after=``/``times=``/``op=``/
@@ -37,6 +38,7 @@ from repro.serve.faults import (
     FaultRule,
     FaultSpecError,
 )
+from repro.serve.foldin import FoldInProjector
 from repro.serve.query import QueryEngine, top_k
 from repro.serve.resilience import RetryPolicy, deadline_scope
 from repro.serve.shard import ShardedModelStore
@@ -163,18 +165,18 @@ class TestFireSemantics:
 class TestCrashRecovery:
     def test_crash_before_reply_restarts_and_answers_byte_identically(
             self, published):
-        # Every worker crashes on its *second* top_k_items (after=1), so
-        # the retried request always lands on a fresh worker's first.
+        # Every worker crashes on its *second* candidates request (after=1),
+        # so the retried request always lands on a fresh worker's first.
         store, matrix, decomposition = published
         engine = WorkerShardedQueryEngine(
-            store, "m", faults="before_reply=crash(op=top_k_items,after=1)",
+            store, "m", faults="before_reply=crash(op=candidates,after=1)",
             **FAST_RETRY)
         try:
-            expected = QueryEngine(decomposition).top_k_items(matrix, 5)
-            _assert_same_result(expected, engine.top_k_items(matrix, 5))
+            expected = QueryEngine(decomposition).nearest_neighbors(matrix, 5)
+            _assert_same_result(expected, engine.nearest_neighbors(matrix, 5))
             # This one crashes all three workers mid-request; the retry
             # restarts them and the answer must not change by a byte.
-            _assert_same_result(expected, engine.top_k_items(matrix, 5))
+            _assert_same_result(expected, engine.nearest_neighbors(matrix, 5))
             report = engine.liveness()
             assert all(w["alive"] for w in report)
             assert sum(w["restarts"] for w in report) >= 3
@@ -191,36 +193,45 @@ class TestCrashRecovery:
         store, matrix, decomposition = published
         engine = WorkerShardedQueryEngine(
             store, "m", call_timeout=0.4,
-            faults="before_reply=stall(seconds=30,op=top_k_items,after=1)",
+            faults="before_reply=stall(seconds=30,op=candidates,after=1)",
             **FAST_RETRY)
         try:
-            expected = QueryEngine(decomposition).top_k_items(matrix, 5)
-            _assert_same_result(expected, engine.top_k_items(matrix, 5))
+            expected = QueryEngine(decomposition).nearest_neighbors(matrix, 5)
+            _assert_same_result(expected, engine.nearest_neighbors(matrix, 5))
             started = time.monotonic()
-            _assert_same_result(expected, engine.top_k_items(matrix, 5))
+            _assert_same_result(expected, engine.nearest_neighbors(matrix, 5))
             elapsed = time.monotonic() - started
             assert elapsed < 10.0  # bounded by timeout + respawn, not 30s
             assert sum(w["restarts"] for w in engine.liveness()) >= 3
         finally:
             engine.close()
 
-    def test_corrupt_replies_reroute_item_ops_byte_identically(
-            self, published):
-        # Shard 0 garbles every reply frame (the hello is skipped by
-        # after=1, so spawns succeed).  Retries and respawns cannot fix it
-        # — the respawn probe sees a corrupt ping reply too — so the call
-        # path reroutes the chunk to a healthy shard, and the replicated
-        # item factors make the reroute byte-identical.
+    @pytest.mark.parametrize("faults", [
+        # Each shard-0 worker garbles every candidates reply after its
+        # first: the second neighbour query's retry lands on a fresh
+        # worker's first candidates reply.
+        "before_reply=corrupt(op=candidates,shard=0,after=1)",
+        # The protocol layer's write point, live: the first shard-0 worker
+        # writes its hello and two candidates replies, then garbles the
+        # squared_distances reply; its respawn writes a hello, the probe's
+        # ping reply and the retried reply, all intact.
+        "write_frame=corrupt(shard=0,after=3,times=1)",
+    ], ids=["before_reply", "write_frame"])
+    def test_corrupt_reply_restarts_and_answers_byte_identically(
+            self, published, faults):
+        # The reader fails on framing, the call path marks the worker dead,
+        # and the retry on a fresh worker must return the same bytes.
         store, matrix, decomposition = published
-        engine = WorkerShardedQueryEngine(
-            store, "m", faults="write_frame=corrupt(shard=0,after=1)",
-            **FAST_RETRY)
+        engine = WorkerShardedQueryEngine(store, "m", faults=faults,
+                                          **FAST_RETRY)
         try:
-            expected = QueryEngine(decomposition).top_k_items(matrix, 5)
-            _assert_same_result(expected, engine.top_k_items(matrix, 5))
+            expected = QueryEngine(decomposition).nearest_neighbors(matrix, 5)
+            _assert_same_result(expected, engine.nearest_neighbors(matrix, 5))
+            _assert_same_result(expected, engine.nearest_neighbors(matrix, 5))
             np.testing.assert_array_equal(
-                QueryEngine(decomposition).reconstruct_rows(matrix),
-                engine.reconstruct_rows(matrix))
+                QueryEngine(decomposition).neighbor_squared_distances(matrix),
+                engine.neighbor_squared_distances(matrix))
+            assert engine.liveness()[0]["restarts"] >= 1
         finally:
             engine.close()
 
@@ -259,12 +270,12 @@ class TestDeadlines:
 class TestCircuitBreaker:
     def test_crash_loop_opens_breaker_then_half_open_probe_recovers(
             self, published):
-        # Shard 0's workers die on *every* top_k_items — a permanent crash
-        # loop for that op.  The breaker must open (stopping the respawn
+        # Shard 0's workers die on *every* candidates request — a
+        # permanent crash loop for that op.  The breaker must open (stopping the respawn
         # storm and failing fast), then a post-cooldown call must claim the
         # half-open probe, prove the respawn healthy via ping, and close
         # the breaker again.
-        store, matrix, _ = published
+        store, matrix, decomposition = published
         manifest = store.manifest("m")
         supervisor = ShardWorkerSupervisor(
             store.directory, "m", manifest,
@@ -272,11 +283,12 @@ class TestCircuitBreaker:
             retry=RetryPolicy(attempts=2, backoff=0.01, max_backoff=0.05,
                               jitter=0.0),
             breaker_threshold=2, breaker_window=30.0, breaker_cooldown=0.4,
-            faults="before_reply=crash(op=top_k_items,shard=0)")
+            faults="before_reply=crash(op=candidates,shard=0)")
         supervisor.start()
         try:
-            endpoints = [matrix.lower, matrix.upper]
-            header = {"op": "top_k_items", "k": 3}
+            features = FoldInProjector(decomposition).latent_features(matrix)
+            endpoints = [features.lower, features.upper]
+            header = {"op": "candidates", "k": 3}
             with pytest.raises(ShardUnavailableError):
                 supervisor.call(0, header, endpoints)  # failure #1, retried
             with pytest.raises(ShardUnavailableError) as exc_info:
@@ -294,7 +306,7 @@ class TestCircuitBreaker:
             # probe; spawn + ping succeed and the breaker closes.
             time.sleep(0.5)
             reply, arrays = supervisor.call(
-                0, {"op": "reconstruct_rows"}, endpoints)
+                0, {"op": "squared_distances"}, endpoints)
             assert reply["ok"] and arrays[0].shape[0] == matrix.shape[0]
             assert supervisor.breaker_state(0) == "closed"
             status = supervisor.liveness()[0]
@@ -321,7 +333,7 @@ class TestCircuitBreaker:
 class TestDegradedMode:
     def _broken_shard1_engine(self, store, degraded):
         # Shard 1 crashes on every candidates request: reference-space
-        # rows are shard-owned, so no reroute can hide this.
+        # rows are shard-owned, so no other shard can answer for them.
         return WorkerShardedQueryEngine(
             store, "m", degraded=degraded,
             faults="before_reply=crash(op=candidates,shard=1)",
@@ -361,20 +373,35 @@ class TestDegradedMode:
         finally:
             engine.close()
 
-    def test_partial_mode_never_degrades_item_space_answers(self, published):
-        # Item ops reroute instead of degrading — even in partial mode the
-        # recommendation path stays byte-identical and unflagged.
+    def test_partial_mode_never_degrades_item_space_answers(
+            self, published, monkeypatch):
+        # Item-space answers come from the router's own projector: with
+        # shard 2 crash-looping in partial mode, the recommendation path
+        # stays byte-identical and unflagged, and calls no shard at all.
         store, matrix, decomposition = published
         engine = WorkerShardedQueryEngine(
             store, "m", degraded="partial",
-            faults="before_reply=crash(op=top_k_items,shard=2)",
+            faults="before_reply=crash(op=candidates,shard=2)",
             **FAST_RETRY)
         try:
+            with collect_missing_shards() as missing:
+                engine.nearest_neighbors(matrix, 3)
+            assert missing == {2}  # shard 2 really is down
+            calls = []
+            real_call = engine.supervisor.call
+            monkeypatch.setattr(
+                engine.supervisor, "call",
+                lambda *args, **kwargs: calls.append(args)
+                or real_call(*args, **kwargs))
             with collect_missing_shards() as missing:
                 _assert_same_result(
                     QueryEngine(decomposition).top_k_items(matrix, 5),
                     engine.top_k_items(matrix, 5))
+                np.testing.assert_array_equal(
+                    QueryEngine(decomposition).reconstruct_rows(matrix),
+                    engine.reconstruct_rows(matrix))
             assert missing == set()
+            assert calls == []
         finally:
             engine.close()
 

@@ -4,11 +4,20 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from repro.core import registry
 from repro.eval.knn import pairwise_interval_distances
 from repro.serve.batching import MicroBatcher
 from repro.serve.query import QueryEngine, top_k
+
+from strategies import batcher_max_batch, common_settings, request_groups
 
 
 @pytest.fixture
@@ -159,3 +168,103 @@ class TestMicroBatcher:
             MicroBatcher(lambda r: r, max_batch=0)
         with pytest.raises(ValueError):
             MicroBatcher(lambda r: r, max_delay=-1.0)
+
+
+class BatchFailed(RuntimeError):
+    """What the model's ``run_batch`` raises for a batch holding a failing
+    request; one distinct instance per batch."""
+
+
+class MicroBatcherModel(RuleBasedStateMachine):
+    """:class:`MicroBatcher` against a model, driven by groups of concurrent
+    submitters, some of whose requests make ``run_batch`` raise.
+
+    Every batch closes by count — each group fills whole batches and the
+    leader's window is far longer than any test — so no invariant depends
+    on how many requests fit into a wall-clock window.  Which requests
+    share a batch is up to thread scheduling; ``run_batch`` records the
+    composition it was given, and the invariants hold for any composition.
+    """
+
+    JOIN_TIMEOUT = 30.0
+
+    @initialize(max_batch=batcher_max_batch)
+    def start(self, max_batch):
+        self.max_batch = max_batch
+        self.batcher = MicroBatcher(self._run_batch, max_batch=max_batch,
+                                    max_delay=10 * self.JOIN_TIMEOUT)
+        self.lock = threading.Lock()
+        self.batches = []       # (requests, BatchFailed or None), run order
+        self.outcomes = {}      # request id -> what its submitter got
+        self.next_id = 0
+
+    def _run_batch(self, requests):
+        error = (BatchFailed(f"batch {len(self.batches)}")
+                 if any(fails for _, fails in requests) else None)
+        with self.lock:
+            self.batches.append((list(requests), error))
+        if error is not None:
+            raise error
+        return [("result", request_id) for request_id, _ in requests]
+
+    @rule(flags=request_groups)
+    def submit_group(self, flags):
+        # Pad or trim the group to whole batches, so every batch closes by
+        # count instead of by the leader's window.
+        size = max(1, len(flags) // self.max_batch) * self.max_batch
+        flags = (flags + [False] * size)[:size]
+        requests = [(self.next_id + i, fails) for i, fails in enumerate(flags)]
+        self.next_id += size
+
+        def submitter(request):
+            try:
+                outcome = self.batcher.submit(request)
+            except BatchFailed as error:
+                outcome = error
+            with self.lock:
+                self.outcomes[request[0]] = outcome
+
+        threads = [threading.Thread(target=submitter, args=(request,))
+                   for request in requests]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(self.JOIN_TIMEOUT)
+        assert not any(thread.is_alive() for thread in threads), \
+            "a submitter never got an answer"
+
+    @invariant()
+    def every_request_ran_in_exactly_one_batch(self):
+        ran = sorted(request_id for requests, _ in self.batches
+                     for request_id, _ in requests)
+        assert ran == list(range(self.next_id))
+
+    @invariant()
+    def batches_close_at_max_batch(self):
+        assert all(len(requests) == self.max_batch
+                   for requests, _ in self.batches)
+
+    @invariant()
+    def every_submitter_gets_its_own_result_or_its_batch_error(self):
+        for requests, error in self.batches:
+            for request_id, _ in requests:
+                if error is None:
+                    assert self.outcomes[request_id] == ("result", request_id)
+                else:
+                    # The very instance its batch raised: no other batch's
+                    # error, and never a result.
+                    assert self.outcomes[request_id] is error
+
+    @invariant()
+    def stats_agree_with_the_model(self):
+        batches, requests = len(self.batches), self.next_id
+        assert self.batcher.stats() == {
+            "batches_run": batches,
+            "requests_served": requests,
+            "mean_batch_size": requests / batches if batches else None,
+        }
+
+
+MicroBatcherModel.TestCase.settings = settings(
+    **common_settings(max_examples=50), stateful_step_count=15)
+TestMicroBatcherModel = MicroBatcherModel.TestCase

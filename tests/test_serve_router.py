@@ -9,8 +9,8 @@ indices) every backend must give the unsharded
 :class:`~repro.serve.query.QueryEngine`'s answer bit for bit, or raise the
 same error type.
 
-The reroute of an item-space chunk around an unavailable shard is the
-router's own policy, so it is tested here with fake shard calls.
+That item-space queries never call a shard is the router's own policy,
+so it is tested here with fake shard calls that all refuse.
 """
 
 import numpy as np
@@ -19,6 +19,7 @@ import pytest
 from repro.core import registry
 from repro.interval.array import IntervalMatrix
 from repro.interval.random import random_interval_matrix
+from repro.interval.sparse import SparseIntervalMatrix
 from repro.serve.query import QueryEngine
 from repro.serve.resilience import ShardUnavailableError
 from repro.serve.shard import ShardedModelStore, ShardedQueryEngine, ShardPlanner
@@ -98,44 +99,54 @@ def test_router_matches_the_unsharded_engine(model, router, case):
         np.testing.assert_array_equal(want, got)
 
 
-class TestItemSpaceReroute:
-    """An item-space chunk whose shard is unavailable goes to another shard
-    whose breaker is closed; shards with an open or half-open breaker are
-    never asked (asking one could start its probe respawn)."""
+class TestItemSpaceNeverCallsAShard:
+    """Item-space queries are answered by the router's own projector: with
+    every shard refusing every call, ``top_k_items`` and
+    ``reconstruct_rows`` still return the unsharded engine's bytes, and no
+    shard is ever asked."""
 
-    def _router(self, decomposition, shards, breaker_closed):
+    @pytest.fixture
+    def refusing(self, model):
+        _, decomposition, _ = model
         router = ShardedQueryEngine(ShardPlanner(3).split(decomposition))
-        local = list(router._shards)
         calls = []
 
-        def shard_call(shard, available):
+        def shard_call(shard):
             def call(header, arrays, deadline):
-                calls.append(shard)
-                if not available:
-                    raise ShardUnavailableError(shard, f"shard {shard} down")
-                return local[shard](header, arrays, deadline)
+                calls.append((shard, header.get("op")))
+                raise ShardUnavailableError(shard, f"shard {shard} down")
             return call
 
         router._route(router.projector, router.row_ranges,
-                      [shard_call(shard, available)
-                       for shard, available in enumerate(shards)],
-                      scatter_width=1, breaker_closed=breaker_closed)
-        return router, calls
+                      [shard_call(shard) for shard in range(3)],
+                      scatter_width=3)
+        # Chunk the batch three ways whatever this host's CPU count, so the
+        # pooled path is exercised too.
+        router._item_chunks = 3
+        yield router, calls
+        router.close()
 
-    def test_reroutes_to_a_closed_breaker_only(self, model):
-        matrix, decomposition, _ = model
-        router, calls = self._router(decomposition, [False, True, True],
-                                     breaker_closed=lambda shard: shard != 1)
-        expected = QueryEngine(decomposition).top_k_items(matrix, 4)
-        result = router.top_k_items(matrix, 4)
-        np.testing.assert_array_equal(expected.indices, result.indices)
-        np.testing.assert_array_equal(expected.scores, result.scores)
-        assert calls == [0, 2]
+    def _sparse(self, matrix):
+        dense_rows = matrix.midpoint()[:5].copy()
+        dense_rows[:, ::3] = 0.0  # unrated items leave the pattern
+        return SparseIntervalMatrix.from_dense(
+            IntervalMatrix.from_scalar(dense_rows))
 
-    def test_raises_the_first_error_when_no_shard_can_take_it(self, model):
+    @pytest.mark.parametrize("batch", ["dense", "one row", "sparse", "empty"])
+    def test_answers_without_any_shard(self, model, refusing, batch):
         matrix, decomposition, _ = model
-        router, calls = self._router(decomposition, [False, True, False],
-                                     breaker_closed=lambda shard: shard != 1)
-        with pytest.raises(ShardUnavailableError, match="shard 0 down"):
-            router.reconstruct_rows(matrix)
-        assert calls == [0, 2]
+        rows = {"dense": matrix, "one row": matrix[:1],
+                "sparse": self._sparse(matrix), "empty": EMPTY}[batch]
+        router, calls = refusing
+        reference = QueryEngine(decomposition)
+        for call in (lambda e: e.top_k_items(rows, 4),
+                     lambda e: e.reconstruct_rows(rows)):
+            expected, actual = _arrays(call(reference)), _arrays(call(router))
+            for want, got in zip(expected, actual, strict=True):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                np.testing.assert_array_equal(want, got)
+        assert calls == []
+        # The fakes do refuse: a shard-backed query reaches them.
+        with pytest.raises(ShardUnavailableError):
+            router.nearest_neighbors(matrix, 2)
+        assert len(calls) == 3

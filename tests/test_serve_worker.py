@@ -160,12 +160,13 @@ class TestSupervision:
 
     def test_killed_worker_restarts_and_answers(self, published, worker_engine):
         _, matrix, decomposition = published
-        expected = QueryEngine(decomposition).top_k_items(matrix, 5)
+        expected = QueryEngine(decomposition).nearest_neighbors(matrix, 5)
         victim = _pids(worker_engine)[1]
         os.kill(victim, signal.SIGKILL)
-        # The next query restarts the worker transparently (call-path
-        # restart) and still answers byte-identically.
-        _assert_same_result(expected, worker_engine.top_k_items(matrix, 5))
+        # The next shard-backed query restarts the worker transparently
+        # (call-path restart) and still answers byte-identically.
+        _assert_same_result(expected,
+                            worker_engine.nearest_neighbors(matrix, 5))
         report = worker_engine.liveness()
         assert all(w["alive"] for w in report)
         assert report[1]["restarts"] >= 1
@@ -250,16 +251,19 @@ class TestSupervision:
         _assert_all_dead(spawned)
 
     def test_close_leaves_no_orphan_processes(self, published):
-        store, matrix, _ = published
+        store, matrix, decomposition = published
         engine = WorkerShardedQueryEngine(store, "m")
         pids = _pids(engine)
         assert len(pids) == 3
-        engine.top_k_items(matrix, 3)  # exercise before shutdown
+        engine.nearest_neighbors(matrix, 3)  # exercise before shutdown
         engine.close()
         _assert_all_dead(pids)
-        # Closed engines fail loudly instead of hanging.
+        # Closed engines fail loudly on shard-backed queries instead of
+        # hanging; item-space queries never needed a worker.
         with pytest.raises(WorkerError):
-            engine.top_k_items(matrix, 3)
+            engine.nearest_neighbors(matrix, 3)
+        _assert_same_result(QueryEngine(decomposition).top_k_items(matrix, 3),
+                            engine.top_k_items(matrix, 3))
         engine.close()  # idempotent
 
     def test_supervisor_closed_socket_reaps_worker(self, published):
@@ -300,10 +304,10 @@ class TestGenerationPinning:
         store, matrix, decomposition = published
         engine = WorkerShardedQueryEngine(store, "m")
         try:
-            expected = QueryEngine(decomposition).top_k_items(matrix, 5)
+            expected = QueryEngine(decomposition).nearest_neighbors(matrix, 5)
             store.save_sharded("m", decomposition, 2)  # generation 2
             os.kill(_pids(engine)[0], signal.SIGKILL)
-            _assert_same_result(expected, engine.top_k_items(matrix, 5))
+            _assert_same_result(expected, engine.nearest_neighbors(matrix, 5))
             assert engine.generation == 1
         finally:
             engine.close()
