@@ -662,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8080,
                        help="TCP port (0 picks a free one)")
     serve.add_argument("--max-batch", type=int, default=64,
-                       help="most single-row queries stacked into one BLAS call")
+                       help="most single-row queries stacked into one batched product")
     serve.add_argument("--batch-delay", type=float, default=2.0,
                        help="micro-batch window in milliseconds")
     serve.add_argument("--interval-kernel", default=None, choices=available_kernels(),

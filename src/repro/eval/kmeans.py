@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.eval.knn import _as_endpoint_features
+from repro.eval.knn import endpoint_features
 from repro.eval.metrics import normalized_mutual_information
 from repro.interval.array import IntervalMatrix
 from repro.interval.random import SeedLike, default_rng
@@ -104,7 +104,7 @@ class IntervalKMeans:
     # ------------------------------------------------------------------ #
     def fit(self, features: Features) -> "IntervalKMeans":
         """Cluster the rows of a scalar or interval feature matrix."""
-        points = _as_endpoint_features(features)
+        points = endpoint_features(features)
         if points.shape[0] < self.n_clusters:
             raise ValueError(
                 f"cannot form {self.n_clusters} clusters from {points.shape[0]} rows"

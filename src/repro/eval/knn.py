@@ -12,6 +12,7 @@ intervals.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -23,19 +24,22 @@ Features = Union[np.ndarray, IntervalMatrix]
 
 __all__ = [
     "IntervalNearestNeighbor",
+    "StackedReferences",
+    "endpoint_features",
     "nn_classification_f1",
     "pairwise_interval_distances",
     "pairwise_interval_squared_distances",
-    "reference_squared_norms",
+    "stack_references",
 ]
 
 
-def _as_endpoint_features(features: Features) -> np.ndarray:
+def endpoint_features(features: Features) -> np.ndarray:
     """Stack lower and upper endpoints side by side as scalar features.
 
     With this representation the squared Euclidean distance between stacked
     rows equals the paper's interval distance squared, so a single vectorized
-    computation covers both scalar and interval features.
+    computation covers both scalar and interval features.  The result is a
+    new C-contiguous ``n x 2r`` array.
     """
     if isinstance(features, IntervalMatrix):
         return np.hstack([features.lower, features.upper])
@@ -45,9 +49,39 @@ def _as_endpoint_features(features: Features) -> np.ndarray:
     return np.hstack([features, features])
 
 
+@dataclass(frozen=True)
+class StackedReferences:
+    """A reference set in the form every distance query reads.
+
+    ``points`` is the C-contiguous ``n x 2r`` :func:`endpoint_features`
+    array and ``squared_norms`` its ``n`` per-row squared norms.  A caller
+    that queries one fixed reference set repeatedly (the serving engine, the
+    NN classifier) builds this once with :func:`stack_references`, so no
+    query batch copies or reduces the ``n`` reference rows again.
+    """
+
+    points: np.ndarray
+    squared_norms: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.points.ndim != 2 or not self.points.flags.c_contiguous:
+            raise ValueError("points must be a C-contiguous 2-D array")
+        if self.squared_norms.shape != (self.points.shape[0],):
+            raise ValueError(
+                f"squared_norms must have shape ({self.points.shape[0]},), "
+                f"got {self.squared_norms.shape}"
+            )
+
+
+def stack_references(features: Features) -> StackedReferences:
+    """Stack ``features`` once for repeated distance queries against them."""
+    points = endpoint_features(features)
+    return StackedReferences(points, (points**2).sum(axis=1))
+
+
 def pairwise_interval_squared_distances(
-        queries: Features, references: Features, matmul=None,
-        references_sq: Optional[np.ndarray] = None) -> np.ndarray:
+        queries: Features, references: Union[Features, StackedReferences],
+        matmul=None) -> np.ndarray:
     """Squared interval Euclidean distances between query and reference rows.
 
     The (clipped-nonnegative) squared form of
@@ -60,98 +94,77 @@ def pairwise_interval_squared_distances(
     row-range shard of the references is bit-identical to the matching slice
     of the full matrix.
 
+    ``references`` is raw features or a :class:`StackedReferences` built
+    once by :func:`stack_references`; both give the same bytes, but only the
+    latter skips restacking the reference rows on every call.
+
     ``matmul`` overrides the kernel of the cross-term product (default
     ``numpy.matmul``); the serving layer passes a batch-size-invariant kernel
     so a query row's distances do not depend on how many rows it was stacked
     with.  The squared-norm terms are per-row reductions and invariant as is.
-
-    ``references_sq`` is a fast-path argument for callers that query one
-    fixed reference set repeatedly (the serving engine, the NN classifier):
-    pass :func:`reference_squared_norms` computed once at fit time and the
-    per-row reference norms are not recomputed on every query batch.  The
-    array must have one entry per reference row.
     """
     if matmul is None:
         matmul = np.matmul
-    query_points = _as_endpoint_features(queries)
-    reference_points = _as_endpoint_features(references)
-    if query_points.shape[1] != reference_points.shape[1]:
+    if not isinstance(references, StackedReferences):
+        references = stack_references(references)
+    query_points = endpoint_features(queries)
+    if query_points.shape[1] != references.points.shape[1]:
         raise ValueError("query and reference features must have the same width")
-    if references_sq is None:
-        references_sq = (reference_points**2).sum(axis=1)
-    else:
-        references_sq = np.asarray(references_sq)
-        if references_sq.dtype != np.float32:
-            references_sq = np.asarray(references_sq, dtype=float)
-        if references_sq.shape != (reference_points.shape[0],):
-            raise ValueError(
-                f"references_sq must have shape ({reference_points.shape[0]},), "
-                f"got {references_sq.shape}"
-            )
-    squared = (
-        (query_points**2).sum(axis=1, keepdims=True)
-        - 2.0 * matmul(query_points, reference_points.T)
-        + references_sq
-    )
-    return np.clip(squared, 0.0, None)
+    # The cross term reads the transposed *view* of the C-contiguous points:
+    # einsum over a contiguous transposed copy rounds differently.  The
+    # distances are then assembled in place, without three more ``q x n``
+    # temporaries; scaling by -2 is exact and addition commutes, so this
+    # rounds exactly as ``|q|^2 - 2 q.r + |r|^2`` evaluated left to right.
+    squared = matmul(query_points, references.points.T)
+    squared *= -2.0
+    squared += (query_points**2).sum(axis=1, keepdims=True)
+    squared += references.squared_norms
+    return np.clip(squared, 0.0, None, out=squared)
 
 
-def pairwise_interval_distances(queries: Features, references: Features,
-                                matmul=None,
-                                references_sq: Optional[np.ndarray] = None) -> np.ndarray:
+def pairwise_interval_distances(queries: Features,
+                                references: Union[Features, StackedReferences],
+                                matmul=None) -> np.ndarray:
     """Matrix of interval Euclidean distances between query and reference rows.
 
     ``sqrt`` of :func:`pairwise_interval_squared_distances`; see there for
-    the ``matmul`` and ``references_sq`` arguments.
+    the ``references`` and ``matmul`` arguments.
     """
     return np.sqrt(pairwise_interval_squared_distances(
-        queries, references, matmul=matmul, references_sq=references_sq))
-
-
-def reference_squared_norms(references: Features) -> np.ndarray:
-    """Per-row squared norms of stacked endpoint features, for caching.
-
-    The value :func:`pairwise_interval_distances` accepts as
-    ``references_sq``; compute it once per reference set instead of once per
-    query batch.
-    """
-    points = _as_endpoint_features(references)
-    return (points**2).sum(axis=1)
+        queries, references, matmul=matmul))
 
 
 class IntervalNearestNeighbor:
     """A 1-nearest-neighbour classifier over scalar or interval features."""
 
     def __init__(self) -> None:
-        self._features: Optional[np.ndarray] = None
-        self._features_sq: Optional[np.ndarray] = None
+        self._references: Optional[StackedReferences] = None
         self._labels: Optional[np.ndarray] = None
 
     def fit(self, features: Features, labels: np.ndarray) -> "IntervalNearestNeighbor":
-        """Store the training rows, their labels, and their squared norms.
+        """Store the training rows, stacked once, and their labels.
 
-        The reference squared norms are fixed once the classifier is fitted,
-        so they are cached here instead of being recomputed by every
+        The stacked training rows and their squared norms are fixed once the
+        classifier is fitted, so they are built here instead of by every
         :meth:`predict` batch.
         """
-        self._features = _as_endpoint_features(features)
+        self._references = stack_references(features)
         self._labels = np.asarray(labels)
-        if self._features.shape[0] != self._labels.shape[0]:
+        if self._references.points.shape[0] != self._labels.shape[0]:
             raise ValueError("number of feature rows and labels must match")
-        if self._features.shape[0] == 0:
+        if self._references.points.shape[0] == 0:
             raise ValueError("training set must not be empty")
-        self._features_sq = (self._features**2).sum(axis=1)
         return self
 
     def predict(self, features: Features) -> np.ndarray:
         """Label of the nearest training row for each query row."""
-        if self._features is None or self._labels is None:
+        if self._references is None or self._labels is None:
             raise RuntimeError("call fit() before predict()")
-        queries = _as_endpoint_features(features)
+        queries = endpoint_features(features)
         squared = (
             (queries**2).sum(axis=1, keepdims=True)
-            - 2.0 * queries @ self._features.T
-            + self._features_sq
+            - 2.0 * queries @ self._references.points.T
+            + self._references.squared_norms
         )
         nearest = np.argmin(squared, axis=1)
         return self._labels[nearest]

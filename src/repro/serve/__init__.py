@@ -11,7 +11,7 @@ The subsystem has seven layers, each usable on its own (see
 * :class:`~repro.serve.query.QueryEngine` — batched, vectorized top-k
   recommendation and nearest-neighbour retrieval over one model, with
   :class:`~repro.serve.batching.MicroBatcher` stacking concurrent
-  single-row queries into single BLAS calls;
+  single-row queries into one batched einsum product;
 * :mod:`repro.serve.shard` — row-range sharding:
   :class:`~repro.serve.shard.ShardPlanner` splits a model along the user
   dimension, :class:`~repro.serve.shard.ShardedModelStore` publishes

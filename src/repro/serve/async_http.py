@@ -11,7 +11,7 @@ a slow client costs a coroutine, not a thread:
   requests ever reach the pool, so slow clients cannot occupy it.  The
   :class:`~repro.serve.batching.MicroBatcher`'s leader/follower protocol
   works across the pool's threads: concurrent single-row queries stack into
-  single BLAS calls, and batching never changes a byte of any response;
+  one batched product, and batching never changes a byte of any response;
 * each response leaves in one ``write`` of head and body, and asyncio sets
   ``TCP_NODELAY`` on every accepted TCP socket, so a keep-alive client never
   waits out Nagle's algorithm against its own delayed ACK.

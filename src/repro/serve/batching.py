@@ -2,9 +2,10 @@
 
 The HTTP service receives many independent single-row queries at once (one
 per connection thread).  Answering each with its own tiny matrix product
-wastes the hardware: one stacked ``q x m`` BLAS call is far cheaper than
-``q`` separate ``1 x m`` calls.  :class:`MicroBatcher` closes that gap
-without changing results:
+wastes the hardware: one stacked ``q x m`` product is far cheaper than
+``q`` separate ``1 x m`` calls.  The engines compute it with a
+batch-invariant einsum, not BLAS, so stacking changes no row's bits.
+:class:`MicroBatcher` closes that gap without changing results:
 
 * the first thread to submit into an empty batch becomes the batch *leader*;
 * the leader waits up to ``max_delay`` seconds (or until ``max_batch``
@@ -13,7 +14,7 @@ without changing results:
   per-request results; followers just wait on the batch event.
 
 Under no concurrency the only cost is the leader's bounded wait; under load
-the window fills instantly and every BLAS call serves ``max_batch`` queries.
+the window fills instantly and every product serves ``max_batch`` queries.
 """
 
 from __future__ import annotations

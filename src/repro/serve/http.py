@@ -13,7 +13,7 @@ Query rows are given either as ``"rows": [[...]]`` (scalar values, treated
 as degenerate intervals), as ``{"lower": [[...]], "upper": [[...]]}``
 endpoint pairs, or as a single ``"row": [...]`` — single rows go through the
 :class:`~repro.serve.batching.MicroBatcher`, so concurrent clients share one
-BLAS call without changing any result.
+batched product without changing any result.
 
 Every model is served through the one scatter-gather router,
 :class:`~repro.serve.shard.ShardedQueryEngine`, whatever its on-disk format:
@@ -347,7 +347,8 @@ class ServingApp:
                 np.vstack([rows.upper for rows in rows_list]),
                 check=False,
             )
-            # One BLAS call scores the whole stack; selection then runs per
+            # One batched einsum product scores the whole stack (einsum, not
+            # BLAS, so no row's bits depend on the stack); selection runs per
             # request with its own k.  top_k is row-local, so every answer is
             # exactly what a direct single-row call would return — including
             # boundary tie-breaking, which slicing a shared top-max(k) list

@@ -9,12 +9,16 @@ The two paper workloads the serving layer answers online:
   against the training rows' latent features with the paper's interval
   Euclidean distance (:func:`repro.eval.knn.pairwise_interval_distances`).
 
-Both entry points are batched: a ``q``-row query is one BLAS call plus one
-vectorized selection, never a Python loop over rows.  Selection ranks under
-a *total order* — score first, ties (including ties at the selection
-boundary) by ascending index — so results are reproducible bit for bit
-across batch sizes, thread counts, and row-range shardings
-(:mod:`repro.serve.shard` relies on this to merge per-shard top-k lists).
+Both entry points are batched: a ``q``-row query is one batch-invariant
+einsum product (:func:`~repro.serve.foldin.batch_invariant_matmul`, not
+BLAS, whose rounding depends on the batch shape) plus one vectorized
+selection, never a Python loop over rows.  Retrieval scores against the
+stored rows' endpoint features, stacked once when the engine is built.
+Selection ranks under a *total order* — score first, ties (including ties
+at the selection boundary) by ascending index — so results are
+reproducible bit for bit across batch sizes, thread counts, and row-range
+shardings (:mod:`repro.serve.shard` relies on this to merge per-shard
+top-k lists).
 """
 
 from __future__ import annotations
@@ -24,10 +28,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from repro.core.result import IntervalDecomposition
-from repro.eval.knn import (
-    pairwise_interval_squared_distances,
-    reference_squared_norms,
-)
+from repro.eval.knn import pairwise_interval_squared_distances, stack_references
 from repro.interval.array import IntervalMatrix
 from repro.interval.kernels import KernelLike
 from repro.serve.foldin import FoldInProjector, Rows, batch_invariant_matmul
@@ -144,8 +145,9 @@ class QueryEngine:
 
     Everything reusable is precomputed at construction: the scalar item map
     and its pseudo-inverses (via :class:`FoldInProjector`), the stored rows'
-    latent coordinates, and their interval features.  A query is then pure
-    matrix arithmetic on the precomputed state — no factorization runs.
+    latent coordinates, and their interval features, stacked once with their
+    squared norms.  A query is then pure matrix arithmetic on the
+    precomputed state — no factorization runs.
 
     ``kernel`` selects the interval-product kernel
     (:mod:`repro.interval.kernels`) used when folding query rows into latent
@@ -182,16 +184,21 @@ class QueryEngine:
         self.n_items = self.projector.n_items
         #: Latent coordinates of the rows the model was fitted on (n x r).
         self.user_latent = decomposition.u_scalar()
-        #: Interval features ``U x Sigma`` of the stored rows, for retrieval.
-        #: Computed with the batch-invariant matmul so each feature row is a
-        #: pure function of its own ``U`` row — an engine built over a
-        #: row-range shard of ``U`` holds exactly this array's matching slice.
-        self.reference_features = decomposition.projection(
-            matmul=batch_invariant_matmul)
-        #: Squared endpoint-feature norms of the stored rows, computed once —
-        #: the references never change within one engine, so no query batch
-        #: should recompute this n-row reduction.
-        self._references_sq = reference_squared_norms(self.reference_features)
+        #: The stored rows' interval features ``U x Sigma``, stacked once into
+        #: one C-contiguous ``n x 2r`` endpoint array with its row norms: the
+        #: references never change within one engine, so no query batch
+        #: restacks or re-reduces the ``n`` rows.  Computed with the
+        #: batch-invariant matmul so each feature row is a pure function of
+        #: its own ``U`` row — an engine built over a row-range shard of
+        #: ``U`` holds exactly this array's matching slice.
+        self._references = stack_references(decomposition.projection(
+            matmul=batch_invariant_matmul))
+        points = self._references.points
+        rank = points.shape[1] // 2
+        #: Interval features of the stored rows, for retrieval: views into
+        #: the stacked array, so the engine keeps one copy of the references.
+        self.reference_features = IntervalMatrix(
+            points[:, :rank], points[:, rank:], check=False)
 
     @property
     def n_users(self) -> int:
@@ -251,16 +258,14 @@ class QueryEngine:
 
     def squared_distances_to_references(self, features: IntervalMatrix) -> np.ndarray:
         """Squared distances of already-folded-in latent features (``q x r``)
-        to this engine's stored rows, using the cached reference norms.
+        to this engine's stored rows, against the references stacked once.
 
         Split out from :meth:`neighbor_squared_distances` so the sharded
         engine can fold queries in once and scatter only this reference-side
         product across its row-range shards.
         """
         return pairwise_interval_squared_distances(
-            features, self.reference_features,
-            matmul=batch_invariant_matmul,
-            references_sq=self._references_sq)
+            features, self._references, matmul=batch_invariant_matmul)
 
     def neighbor_distances(self, query_rows: Rows) -> np.ndarray:
         """Interval distances (``q x n``) of query rows to every stored row."""

@@ -5,7 +5,9 @@ on tolerances:
 
 * **within a dtype** — micro-batching, in-process sharding, and the worker
   fleet's scatter-gather must reproduce the unbatched/unsharded answer bit
-  for bit, at float32 exactly as the suite already locks for float64;
+  for bit, at float32 exactly as the suite already locks for float64, and
+  any row split of the queries or of the stored rows must too, on
+  real-valued data where every product rounds;
 * **float64 parity** — the default (``dtype=None``) pipeline must remain
   byte-identical to an explicit ``dtype="float64"`` request for every ISVD
   method, so the precision plumbing is provably a no-op on the historical
@@ -14,12 +16,29 @@ on tolerances:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from strategies import random_matrix
+from strategies import (
+    common_settings,
+    query_rows_params,
+    random_matrix,
+    real_interval_rows,
+    real_model_params,
+    real_valued_decomposition,
+    row_split,
+    row_split_params,
+)
 
 from repro.core.isvd import isvd
+from repro.core.result import IntervalDecomposition
 from repro.serve.query import QueryEngine
-from repro.serve.shard import ShardedModelStore, ShardedQueryEngine, ShardPlanner
+from repro.serve.shard import (
+    ShardedModelStore,
+    ShardedQueryEngine,
+    ShardPlanner,
+    _slice_factor_rows,
+)
 from repro.serve.worker import WorkerShardedQueryEngine
 
 DTYPE_NAMES = ("float64", "float32")
@@ -82,6 +101,77 @@ class TestShardingByteParity:
             unsharded_nn = unsharded.nearest_neighbors(rows, 4)
             assert sharded_nn.indices.tobytes() == unsharded_nn.indices.tobytes()
             assert sharded_nn.scores.tobytes() == unsharded_nn.scores.tobytes()
+        finally:
+            sharded.close()
+
+
+def _split_decomposition(decomposition, ranges):
+    """One shard decomposition per ``(start, stop)`` range of stored rows."""
+    return [IntervalDecomposition(
+        u=_slice_factor_rows(decomposition.u, start, stop),
+        sigma=decomposition.sigma, v=decomposition.v,
+        target=decomposition.target, method=decomposition.method,
+        rank=decomposition.rank)
+        for start, stop in ranges]
+
+
+def _answers(engine, rows, k):
+    """Every reference- and item-space answer of ``engine``, as arrays."""
+    nearest = engine.nearest_neighbors(rows, k)
+    return {
+        "fold_in": engine.projector.fold_in(rows),
+        "reconstruct_rows": engine.reconstruct_rows(rows),
+        "neighbor_squared_distances": engine.neighbor_squared_distances(rows),
+        "nearest_neighbors.indices": nearest.indices,
+        "nearest_neighbors.scores": nearest.scores,
+    }
+
+
+def _assert_same_bytes(expected, actual):
+    for name, array in expected.items():
+        assert actual[name].dtype == array.dtype, name
+        assert actual[name].shape == array.shape, name
+        assert actual[name].tobytes() == array.tobytes(), name
+
+
+@pytest.mark.parametrize("dtype", DTYPE_NAMES)
+class TestSplitInvariance:
+    """Any split of the work gives the same bytes, on real-valued data.
+
+    The hypothesis scatter-gather parity suite draws integer-valued models,
+    which any summation order computes exactly, so it cannot catch a kernel
+    whose rounding depends on the batch shape or on where a shard's rows
+    start.  Here every product rounds, and both the query batch and the
+    stored rows are cut at random, generally uneven, points.
+    """
+
+    @settings(**common_settings(max_examples=40))
+    @given(model=real_model_params, queries=query_rows_params,
+           query_split=row_split_params, reference_split=row_split_params,
+           k=st.integers(1, 6))
+    def test_any_row_split_gives_the_same_bytes(
+            self, dtype, model, queries, query_split, reference_split, k):
+        decomposition = real_valued_decomposition(model, dtype)
+        n_rows, n_items = decomposition.shape
+        rows = real_interval_rows(queries, n_items, dtype)
+        engine = QueryEngine(decomposition)
+        whole = _answers(engine, rows, k)
+        assert whole["neighbor_squared_distances"].dtype == np.dtype(dtype)
+
+        # Split the query batch: each chunk answers its rows exactly as the
+        # whole batch did.
+        chunks = [_answers(engine, _slice_factor_rows(rows, start, stop), k)
+                  for start, stop in row_split(rows.shape[0], query_split)]
+        _assert_same_bytes(whole, {
+            name: np.concatenate([chunk[name] for chunk in chunks])
+            for name in whole})
+
+        # Split the stored rows: the scatter-gather router over uneven
+        # shards answers exactly as the one engine over all of them.
+        sharded = ShardedQueryEngine(_split_decomposition(
+            decomposition, row_split(n_rows, reference_split)))
+        try:
+            _assert_same_bytes(whole, _answers(sharded, rows, k))
         finally:
             sharded.close()
 

@@ -2,9 +2,10 @@
 
 One home for the generator idioms the property tiers kept reinventing:
 bounded float draws, random dense interval-matrix pairs, integer-valued
-sparse patterns, the brute-force product hull, circuit-breaker
-parameters with fake-clock steps, and micro-batcher request groups — the
-matrix generators dtype-parametrized
+sparse patterns, real-valued models with query rows and random row
+splits, the brute-force product hull, circuit-breaker parameters with
+fake-clock steps, and micro-batcher request groups — the matrix
+generators dtype-parametrized
 so the float32 precision tier (``tests/precision/``) exercises the exact
 same input families as the float64 property tests.
 
@@ -94,6 +95,28 @@ breaker_params = st.tuples(
 #: Fake-clock steps (whole seconds) between circuit-breaker operations.
 clock_steps = st.integers(0, 8)
 
+#: (stored rows, items, rank, interval-valued factors, seed) for a
+#: real-valued decomposition.
+real_model_params = st.tuples(
+    st.integers(2, 40),       # stored rows
+    st.integers(2, 12),       # items
+    st.integers(1, 8),        # rank
+    st.booleans(),            # interval U and V (target a) or scalar (target b)
+    st.integers(0, 10_000),   # seed
+)
+
+#: (rows, seed) of a batch of real-valued interval query rows.
+query_rows_params = st.tuples(
+    st.integers(1, 9),        # rows
+    st.integers(0, 10_000),   # seed
+)
+
+#: (parts, seed) of a contiguous row split cut at random points.
+row_split_params = st.tuples(
+    st.integers(1, 6),        # parts (capped at the row count)
+    st.integers(0, 10_000),   # seed
+)
+
 #: ``max_batch`` of a micro-batcher under test.
 batcher_max_batch = st.integers(1, 4)
 
@@ -141,6 +164,61 @@ def random_interval_pair(params, mixed_sign=True, dtype=np.float64):
         a = a.astype(np.dtype(dtype), outward=True)
         b = b.astype(np.dtype(dtype), outward=True)
     return a, b, rng
+
+
+def real_valued_decomposition(params, dtype=np.float64):
+    """Expand :data:`real_model_params` into a decomposition to serve.
+
+    Factors are real-valued, so every product rounds: a kernel whose
+    rounding depends on the operand's shape or offset shows in the last
+    bits, which integer-valued factors (exact in any summation order) hide.
+    Target ``a`` carries interval ``U``, ``Sigma`` and ``V``; target ``b``
+    scalar ``U`` and ``V`` around an interval ``Sigma``, the served shape.
+    """
+    from repro.core.result import IntervalDecomposition
+
+    n_rows, n_items, rank, interval_factors, seed = params
+    rng = np.random.default_rng(seed)
+    dtype = np.dtype(dtype)
+
+    def factor(rows, cols, scale):
+        lower = (rng.normal(size=(rows, cols)) * scale).astype(dtype)
+        if not interval_factors:
+            return lower
+        width = (rng.random((rows, cols)) * scale * 0.3).astype(dtype)
+        return IntervalMatrix(lower, lower + width)
+
+    sigma_lo = np.sort(rng.uniform(1.0, 5.0, rank))[::-1]
+    sigma_hi = sigma_lo + rng.uniform(0.0, 0.5, rank)
+    return IntervalDecomposition(
+        u=factor(n_rows, rank, 1.0),
+        sigma=IntervalMatrix(np.diag(sigma_lo).astype(dtype),
+                             np.diag(sigma_hi).astype(dtype), check=False),
+        v=factor(n_items, rank, 1.0 / np.sqrt(n_items)),
+        target="a" if interval_factors else "b", method="real", rank=rank)
+
+
+def real_interval_rows(params, n_items, dtype=np.float64):
+    """Expand :data:`query_rows_params` into real-valued interval rows."""
+    rows, seed = params
+    rng = np.random.default_rng(seed)
+    lower = rng.uniform(0.0, 5.0, size=(rows, n_items))
+    width = rng.uniform(0.0, 1.0, size=(rows, n_items))
+    return IntervalMatrix(lower.astype(dtype), (lower + width).astype(dtype))
+
+
+def row_split(n_rows, params):
+    """Expand :data:`row_split_params` into ``(start, stop)`` ranges.
+
+    The ranges are contiguous, non-empty and cover ``n_rows``; the cut
+    points are drawn at random, so the parts are generally uneven.
+    """
+    parts, seed = params
+    parts = min(parts, n_rows)
+    cuts = np.random.default_rng(seed).choice(
+        np.arange(1, n_rows), parts - 1, replace=False)
+    bounds = [0, *sorted(int(cut) for cut in cuts), n_rows]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def integer_interval_matrix(rng, rows, cols, density, dtype=np.float64):

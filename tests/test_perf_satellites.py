@@ -1,7 +1,9 @@
 """Regression tests for the PR-4 performance satellites.
 
-* cached reference squared norms in the NN classifier / query engine
-  (``references_sq`` fast path of :func:`pairwise_interval_distances`);
+* references stacked once, with their squared norms, in the NN classifier
+  and the query engine (:class:`StackedReferences`, accepted by
+  :func:`pairwise_interval_distances` in place of raw features), so no
+  query copies the reference rows again;
 * the vectorized K-means centroid update (one membership matmul instead of a
   Python loop over clusters), pinned to the loop implementation's labels on
   fixed seeds;
@@ -14,10 +16,12 @@ import numpy as np
 import pytest
 
 from repro.eval.kmeans import IntervalKMeans
+from repro.eval import knn
 from repro.eval.knn import (
     IntervalNearestNeighbor,
+    StackedReferences,
     pairwise_interval_distances,
-    reference_squared_norms,
+    stack_references,
 )
 from repro.interval.array import IntervalMatrix
 from repro.interval.kernels import (
@@ -29,34 +33,35 @@ from repro.interval.random import random_interval_matrix
 from repro.interval.scalar import IntervalError
 
 
-class TestReferenceNormCaching:
+class TestReferenceStacking:
     def _features(self, seed, rows=12, rank=4):
         return random_interval_matrix((rows, rank), interval_density=1.0,
                                       interval_intensity=0.7, rng=seed)
 
-    def test_fast_path_is_byte_identical_to_recomputation(self):
+    def test_stacked_references_are_byte_identical_to_raw_features(self):
         queries = self._features(0, rows=5)
         references = self._features(1)
-        cached = reference_squared_norms(references)
+        stacked = stack_references(references)
+        assert stacked.points.flags.c_contiguous
+        assert stacked.points.shape == (12, 8)
         baseline = pairwise_interval_distances(queries, references)
-        fast = pairwise_interval_distances(queries, references,
-                                           references_sq=cached)
+        fast = pairwise_interval_distances(queries, stacked)
         assert fast.tobytes() == baseline.tobytes()
 
-    def test_wrong_shape_references_sq_raises(self):
-        queries = self._features(0, rows=5)
-        references = self._features(1)
-        with pytest.raises(ValueError, match="references_sq"):
-            pairwise_interval_distances(queries, references,
-                                        references_sq=np.zeros(3))
+    def test_wrong_shape_squared_norms_raise(self):
+        points = stack_references(self._features(1)).points
+        with pytest.raises(ValueError, match="squared_norms"):
+            StackedReferences(points, np.zeros(3))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            StackedReferences(np.asfortranarray(points), np.zeros(12))
 
-    def test_nn_classifier_caches_norms_at_fit_time(self):
+    def test_nn_classifier_stacks_references_at_fit_time(self):
         references = self._features(2)
         labels = np.arange(12) % 3
         classifier = IntervalNearestNeighbor().fit(references, labels)
-        assert classifier._features_sq is not None
-        assert classifier._features_sq.shape == (12,)
-        # Predictions are unchanged by the caching.
+        assert classifier._references.points.shape == (12, 8)
+        assert classifier._references.squared_norms.shape == (12,)
+        # Predictions are unchanged by the stacking.
         queries = self._features(3, rows=6)
         predictions = classifier.predict(queries)
         brute = []
@@ -66,28 +71,61 @@ class TestReferenceNormCaching:
             brute.append(labels[np.argmin(((stacked_refs - row) ** 2).sum(axis=1))])
         np.testing.assert_array_equal(predictions, np.asarray(brute))
 
-    def test_query_engine_precomputes_and_uses_cached_norms(self, monkeypatch):
+    @staticmethod
+    def _engine():
         from repro.core.isvd import isvd
         from repro.serve.query import QueryEngine
-        import repro.serve.query as query_module
 
         matrix = random_interval_matrix((15, 9), interval_density=1.0,
                                         interval_intensity=0.6, rng=4)
-        engine = QueryEngine(isvd(matrix, 3, method="isvd3", target="b"))
-        assert engine._references_sq.shape == (15,)
+        return matrix, QueryEngine(isvd(matrix, 3, method="isvd3", target="b"))
+
+    def test_query_engine_passes_its_stacked_references(self, monkeypatch):
+        import repro.serve.query as query_module
+
+        matrix, engine = self._engine()
+        assert engine._references.squared_norms.shape == (15,)
 
         seen = {}
         original = query_module.pairwise_interval_squared_distances
 
-        def spy(queries, references, matmul=None, references_sq=None):
-            seen["references_sq"] = references_sq
-            return original(queries, references, matmul=matmul,
-                            references_sq=references_sq)
+        def spy(queries, references, matmul=None):
+            seen["references"] = references
+            return original(queries, references, matmul=matmul)
 
         monkeypatch.setattr(query_module,
                             "pairwise_interval_squared_distances", spy)
         engine.neighbor_distances(matrix.row(0))
-        assert seen["references_sq"] is engine._references_sq
+        assert seen["references"] is engine._references
+
+    def test_reference_features_are_views_of_the_one_stacked_copy(self):
+        _, engine = self._engine()
+        points = engine._references.points
+        assert np.shares_memory(engine.reference_features.lower, points)
+        assert np.shares_memory(engine.reference_features.upper, points)
+        np.testing.assert_array_equal(
+            points, np.hstack([engine.reference_features.lower,
+                               engine.reference_features.upper]))
+
+    def test_queries_never_restack_the_references(self, monkeypatch):
+        from repro.serve.shard import _run_op
+
+        matrix, engine = self._engine()
+        calls = []
+        original = knn.endpoint_features
+
+        def spy(features):
+            calls.append(features.shape)
+            return original(features)
+
+        monkeypatch.setattr(knn, "endpoint_features", spy)
+        rows = IntervalMatrix(matrix.lower[:2], matrix.upper[:2])
+        engine.nearest_neighbors(rows, 4)
+        features = engine.projector.latent_features(rows)
+        _run_op(engine, 0, "candidates", {"op": "candidates", "k": 4},
+                [features.lower, features.upper])
+        # The spy saw the query rows of both calls, never the 15 stored rows.
+        assert calls == [(2, 3), (2, 3)]
 
 
 class TestVectorizedKMeans:
