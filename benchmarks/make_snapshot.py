@@ -64,7 +64,7 @@ SECTIONS = {
     )),
     "precision": ("test_bench_precision", (
         "shape", "rows_measured",
-        "gram_f64_ms", "gram_f32_ms", "gram_mixed_ms",
+        "gram_f64_ms", "gram_f32_ms",
         "f32_speedup", "f32_storage_ratio",
         "sparse_f64_gram_ms", "sparse_f32_gram_ms",
         "sparse_f32_speedup", "sparse_f32_storage_ratio",

@@ -8,9 +8,7 @@ exactly 2.0 for raw endpoint arrays).
 The dense Gram is measured on a row subsample, the same honesty device
 test_bench_sparse.py uses: the Gram is an exact sum over rows, so wall-clock
 scales linearly in rows and the float32/float64 *ratio* is row-count
-invariant — the published ``rows_measured`` records what was timed.  The
-mixed policy (float32 storage, float64 accumulation) is recorded ungated: it
-buys accuracy, not speed, and the snapshot should say so.
+invariant — the published ``rows_measured`` records what was timed.
 
 The sparse path is recorded ungated too: CSR index arrays don't shrink with
 the value dtype, so its float32 speedup (~1.2x) and storage ratio (~1.5x)
@@ -80,8 +78,6 @@ def test_bench_precision_gram_float32_vs_float64(benchmark):
 
     f64_seconds, f32_seconds = _interleaved_best(
         [lambda: interval_gram(DENSE), lambda: interval_gram(DENSE32)])
-    mixed_seconds = _best_of(
-        lambda: interval_gram(DENSE32, accum_dtype=np.float64), rounds=1)
     # Keep one measured round in the benchmark table itself (the float32
     # path is the one the gate certifies).
     gram32 = benchmark.pedantic(interval_gram, args=(DENSE32,),
@@ -104,7 +100,6 @@ def test_bench_precision_gram_float32_vs_float64(benchmark):
     benchmark.extra_info["rows_measured"] = DENSE_ROWS
     benchmark.extra_info["gram_f64_ms"] = round(f64_seconds * 1000.0, 1)
     benchmark.extra_info["gram_f32_ms"] = round(f32_seconds * 1000.0, 1)
-    benchmark.extra_info["gram_mixed_ms"] = round(mixed_seconds * 1000.0, 1)
     benchmark.extra_info["f32_speedup"] = round(speedup, 2)
     benchmark.extra_info["f32_storage_ratio"] = round(storage_ratio, 2)
 

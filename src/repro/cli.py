@@ -39,12 +39,14 @@ from repro.core.accuracy import harmonic_mean_accuracy
 from repro.experiments.engine import ExperimentEngine
 from repro.interval.array import IntervalMatrix
 from repro.interval.kernels import DEFAULT_KERNEL, available_kernels
-from repro.precision import available_precisions
 from repro import io as repro_io
 
 #: Default model-store directory for ``decompose --save-model`` / ``models`` /
 #: ``serve`` (override with ``--store``).
 DEFAULT_STORE = "repro-models"
+
+#: ``--dtype`` choices shared by ``decompose``, ``generate`` and ``serve``.
+DTYPE_CHOICES = ("float64", "float32")
 
 #: Experiment registry: name -> callable(engine) returning {label: ExperimentResult}.
 def _experiment_registry() -> Dict[str, Callable[[ExperimentEngine], Dict[str, object]]]:
@@ -128,7 +130,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     if args.dtype is not None:
         if not info.dtype_aware:
             raise SystemExit(
-                f"method {info.key!r} does not support precision policies; "
+                f"method {info.key!r} does not support --dtype; "
                 "--dtype applies to "
                 + ", ".join(i.key for i in registry.infos() if i.dtype_aware)
             )
@@ -553,11 +555,10 @@ def build_parser() -> argparse.ArgumentParser:
     decompose.add_argument("--interval-kernel", default=None, choices=available_kernels(),
                            help="interval-product kernel for kernel-aware methods "
                                 f"(default: {DEFAULT_KERNEL}, the paper's construction)")
-    decompose.add_argument("--dtype", default=None, choices=available_precisions(),
-                           help="precision policy for dtype-aware methods: "
-                                "float64 (default), float32 (storage and "
-                                "accumulation), or mixed (float32 storage, "
-                                "float64 accumulation)")
+    decompose.add_argument("--dtype", default=None, choices=DTYPE_CHOICES,
+                           help="endpoint dtype for dtype-aware methods: "
+                                "float64 (default) or float32 (storage and "
+                                "accumulation)")
     decompose.add_argument("--sparse", action="store_true",
                            help="run in sparse representation: dense input is "
                                 "converted (cells with both endpoints 0 become "
@@ -615,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--interval-density", type=float, default=1.0)
     generate.add_argument("--interval-intensity", type=float, default=1.0)
     generate.add_argument("--profile", choices=["high", "medium", "low"], default="medium")
-    generate.add_argument("--dtype", default=None, choices=["float64", "float32"],
+    generate.add_argument("--dtype", default=None, choices=DTYPE_CHOICES,
                           help="endpoint storage dtype of the written matrix "
                                "(float32 halves the file; endpoints are "
                                "rounded outward so every cell stays a true "
@@ -693,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default, byte-identical answers only); "
                             "'partial' answers from the live shards and "
                             "flags the response degraded")
-    serve.add_argument("--dtype", default=None, choices=["float64", "float32"],
+    serve.add_argument("--dtype", default=None, choices=DTYPE_CHOICES,
                        help="pin the server to one factor precision: models "
                             "whose sidecar records a different dtype are "
                             "refused with a 409 instead of served (default: "

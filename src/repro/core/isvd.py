@@ -43,7 +43,6 @@ from repro.interval.linalg import (
     safe_inverse,
 )
 from repro.interval.sparse import as_interval_operand, is_sparse_interval
-from repro.precision import PrecisionLike, PrecisionPolicy, resolve_precision
 
 
 class ISVDError(ValueError):
@@ -77,7 +76,7 @@ def truncated_svd(matrix: np.ndarray, rank: int,
     """Rank-``r`` SVD returning ``(U, singular_values, V)`` with ``V`` of shape ``m x r``.
 
     ``dtype`` sets the LAPACK compute dtype; ``None`` keeps the historical
-    float64 path (byte-identical to the pre-precision-policy behavior).
+    float64 path.
     """
     matrix = np.asarray(matrix, dtype=float if dtype is None else dtype)
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
@@ -113,17 +112,24 @@ def _validate_inputs(matrix: IntervalMatrix, rank: int) -> None:
         raise ISVDError(f"rank must be in [1, min(n, m)={min(n, m)}], got {rank}")
 
 
-def _factors_to_storage(precision: Optional[PrecisionPolicy], *arrays):
-    """Cast scalar factor arrays back to the policy's storage dtype.
+def _resolve_dtype(dtype) -> Optional[np.dtype]:
+    """Resolve :func:`isvd`'s ``dtype=`` to a compute dtype.
 
-    Under the ``mixed`` policy the LAPACK steps run in the (float64)
-    accumulation dtype; the factors are stored in float32.  Without a policy
-    (or when storage equals the compute dtype) this is a no-op.
+    Any numpy spelling of float32 (``"float32"``, ``"f4"``, ``"single"``,
+    ``np.float32``) selects float32; ``None`` and float64 resolve to
+    ``None``, so an explicit float64 takes the byte-identical default path.
     """
-    if precision is None or precision.accum_dtype == precision.storage_dtype:
-        return arrays if len(arrays) != 1 else arrays[0]
-    cast = tuple(a.astype(precision.storage_dtype, copy=False) for a in arrays)
-    return cast if len(cast) != 1 else cast[0]
+    if dtype is None:
+        return None
+    try:
+        resolved = np.dtype(dtype)
+    except TypeError:
+        resolved = None
+    if resolved == np.float64:
+        return None
+    if resolved == np.float32:
+        return resolved
+    raise ISVDError(f"unsupported dtype {dtype!r}; use float64 or float32")
 
 
 def _match_storage(array: np.ndarray, matrix) -> np.ndarray:
@@ -144,7 +150,7 @@ def _match_storage(array: np.ndarray, matrix) -> np.ndarray:
 # ISVD0 — average and decompose
 # --------------------------------------------------------------------------- #
 def isvd0(matrix: IntervalMatrix, rank: int,
-          precision: Optional[PrecisionPolicy] = None) -> IntervalDecomposition:
+          dtype: Optional[np.dtype] = None) -> IntervalDecomposition:
     """Naive baseline: SVD of the midpoint matrix (Section 4.1, Algorithm 7).
 
     The result is always a target-``c`` (all scalar) decomposition.
@@ -158,9 +164,7 @@ def isvd0(matrix: IntervalMatrix, rank: int,
     timings["preprocessing"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    u, s, v = truncated_svd(
-        averaged, rank, dtype=None if precision is None else precision.accum_dtype)
-    u, s, v = _factors_to_storage(precision, u, s, v)
+    u, s, v = truncated_svd(averaged, rank, dtype=dtype)
     timings["decomposition"] = time.perf_counter() - start
     timings["alignment"] = 0.0
     timings["recomposition"] = 0.0
@@ -179,19 +183,16 @@ def isvd1(
     rank: int,
     target: Union[str, DecompositionTarget] = DecompositionTarget.B,
     align_method: str = "hungarian",
-    precision: Optional[PrecisionPolicy] = None,
+    dtype: Optional[np.dtype] = None,
 ) -> IntervalDecomposition:
     """Decompose the min and max matrices independently, then align (Alg. 8)."""
     matrix = IntervalMatrix.coerce(matrix)
     _validate_inputs(matrix, rank)
     timings: Dict[str, float] = {"preprocessing": 0.0}
 
-    compute = None if precision is None else precision.accum_dtype
     start = time.perf_counter()
-    u_lo, s_lo, v_lo = _factors_to_storage(
-        precision, *truncated_svd(matrix.lower, rank, dtype=compute))
-    u_hi, s_hi, v_hi = _factors_to_storage(
-        precision, *truncated_svd(matrix.upper, rank, dtype=compute))
+    u_lo, s_lo, v_lo = truncated_svd(matrix.lower, rank, dtype=dtype)
+    u_hi, s_hi, v_hi = truncated_svd(matrix.upper, rank, dtype=dtype)
     timings["decomposition"] = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -215,7 +216,7 @@ def isvd1(
 def _gram_eigendecompositions(
     matrix: IntervalMatrix, rank: int, kernel: KernelLike = None,
     gram_block_rows: Optional[int] = None,
-    precision: Optional[PrecisionPolicy] = None,
+    dtype: Optional[np.dtype] = None,
 ) -> Tuple[IntervalMatrix, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Eigen-decompose the interval Gram matrix ``A = M^T M`` (Section 4.3.1).
 
@@ -224,22 +225,13 @@ def _gram_eigendecompositions(
     ``kernel`` selects the interval-product kernel for the Gram step; the
     product runs through :func:`~repro.interval.linalg.interval_gram`, so a
     sparse ``matrix`` never densifies and ``gram_block_rows`` bounds the dense
-    path's temporaries by accumulating over row chunks.  A low-precision
-    ``precision`` policy runs the gram and eigen steps in its accumulation
-    dtype and stores the factors in its storage dtype.
+    path's temporaries by accumulating over row chunks.  ``dtype`` is the
+    LAPACK compute dtype of the eigen steps (``None``: float64, whatever the
+    matrix's dtype).
     """
-    accum = None
-    compute = None
-    if precision is not None:
-        compute = precision.accum_dtype
-        if precision.accum_dtype != precision.storage_dtype:
-            accum = precision.accum_dtype
-    gram = interval_gram(matrix, kernel=kernel, block_rows=gram_block_rows,
-                         accum_dtype=accum)
-    v_lo, s_lo = _factors_to_storage(
-        precision, *truncated_eigh(gram.lower, rank, dtype=compute))
-    v_hi, s_hi = _factors_to_storage(
-        precision, *truncated_eigh(gram.upper, rank, dtype=compute))
+    gram = interval_gram(matrix, kernel=kernel, block_rows=gram_block_rows)
+    v_lo, s_lo = truncated_eigh(gram.lower, rank, dtype=dtype)
+    v_hi, s_hi = truncated_eigh(gram.upper, rank, dtype=dtype)
     return gram, v_lo, s_lo, v_hi, s_hi
 
 
@@ -266,7 +258,7 @@ def isvd2(
     align_method: str = "hungarian",
     kernel: KernelLike = None,
     gram_block_rows: Optional[int] = None,
-    precision: Optional[PrecisionPolicy] = None,
+    dtype: Optional[np.dtype] = None,
 ) -> IntervalDecomposition:
     """Eigen-decompose the interval Gram matrix, solve for U, then align (Alg. 9)."""
     matrix = as_interval_operand(matrix)
@@ -276,7 +268,7 @@ def isvd2(
     start = time.perf_counter()
     _, v_lo, s_lo, v_hi, s_hi = _gram_eigendecompositions(
         matrix, rank, kernel=kernel, gram_block_rows=gram_block_rows,
-        precision=precision)
+        dtype=dtype)
     timings["preprocessing"] = 0.0
     timings["decomposition"] = time.perf_counter() - start
 
@@ -306,7 +298,7 @@ def isvd2(
 def _aligned_gram_factors(
     matrix: IntervalMatrix, rank: int, align_method: str, kernel: KernelLike = None,
     gram_block_rows: Optional[int] = None,
-    precision: Optional[PrecisionPolicy] = None,
+    dtype: Optional[np.dtype] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, AlignmentResult, Dict[str, float]]:
     """Shared first phase of ISVD3/ISVD4: eigen-decompose, then align V and Sigma."""
     timings: Dict[str, float] = {"preprocessing": 0.0}
@@ -314,7 +306,7 @@ def _aligned_gram_factors(
     start = time.perf_counter()
     _, v_lo, s_lo, v_hi, s_hi = _gram_eigendecompositions(
         matrix, rank, kernel=kernel, gram_block_rows=gram_block_rows,
-        precision=precision)
+        dtype=dtype)
     timings["decomposition"] = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -359,7 +351,7 @@ def isvd3(
     condition_threshold: float = DEFAULT_CONDITION_THRESHOLD,
     kernel: KernelLike = None,
     gram_block_rows: Optional[int] = None,
-    precision: Optional[PrecisionPolicy] = None,
+    dtype: Optional[np.dtype] = None,
 ) -> IntervalDecomposition:
     """Align the right factors first, then solve for U with interval algebra (Alg. 10)."""
     matrix = as_interval_operand(matrix)
@@ -367,7 +359,7 @@ def isvd3(
 
     v_lo, s_lo, v_hi, s_hi, alignment, timings = _aligned_gram_factors(
         matrix, rank, align_method, kernel=kernel, gram_block_rows=gram_block_rows,
-        precision=precision,
+        dtype=dtype,
     )
 
     start = time.perf_counter()
@@ -398,7 +390,7 @@ def isvd4(
     condition_threshold: float = DEFAULT_CONDITION_THRESHOLD,
     kernel: KernelLike = None,
     gram_block_rows: Optional[int] = None,
-    precision: Optional[PrecisionPolicy] = None,
+    dtype: Optional[np.dtype] = None,
 ) -> IntervalDecomposition:
     """ISVD3 plus a final recomputation of V from the recovered U (Alg. 11).
 
@@ -410,7 +402,7 @@ def isvd4(
 
     v_lo, s_lo, v_hi, s_hi, alignment, timings = _aligned_gram_factors(
         matrix, rank, align_method, kernel=kernel, gram_block_rows=gram_block_rows,
-        precision=precision,
+        dtype=dtype,
     )
 
     start = time.perf_counter()
@@ -447,7 +439,7 @@ def isvd(
     condition_threshold: float = DEFAULT_CONDITION_THRESHOLD,
     kernel: KernelLike = None,
     gram_block_rows: Optional[int] = None,
-    dtype: PrecisionLike = None,
+    dtype=None,
 ) -> IntervalDecomposition:
     """Decompose an interval-valued matrix with the requested ISVD strategy.
 
@@ -483,13 +475,14 @@ def isvd(
         :func:`~repro.interval.linalg.interval_gram`).  ``None`` (default)
         keeps the unblocked, byte-identical product.
     dtype:
-        Precision policy (:mod:`repro.precision`): ``None`` or ``"float64"``
-        keep the historical full-precision path; ``"float32"`` stores and
-        accumulates endpoints in float32; ``"mixed"`` stores float32 but
-        accumulates the gram products and LAPACK steps in float64.  The
-        input matrix is cast to the storage dtype up front (with an outward
-        endpoint nudge so the cast itself never narrows an interval), and
-        all factors come back in the storage dtype.
+        Endpoint dtype, float64 or float32 in any numpy spelling
+        (``"float32"``, ``np.float32``, ...); anything else raises
+        :class:`ISVDError`.  ``None`` or float64 keep the historical
+        full-precision path byte for byte; float32 stores and accumulates
+        endpoints, gram products and LAPACK steps in float32.  The input
+        matrix is cast up front (with an outward endpoint nudge so the cast
+        itself never narrows an interval), and all factors come back in
+        float32.
 
     Returns
     -------
@@ -502,32 +495,29 @@ def isvd(
     if is_sparse_interval(matrix) and method in (ISVDMethod.ISVD0, ISVDMethod.ISVD1):
         matrix = matrix.to_dense()
 
-    precision = resolve_precision(dtype)
-    if precision is not None and precision.is_default:
-        # Explicit float64 must be byte-identical to no policy at all.
-        precision = None
-    if precision is not None and matrix.dtype != precision.storage_dtype:
-        matrix = matrix.astype(precision.storage_dtype, outward=True)
+    dtype = _resolve_dtype(dtype)
+    if dtype is not None and matrix.dtype != dtype:
+        matrix = matrix.astype(dtype, outward=True)
 
     if method is ISVDMethod.ISVD0:
         if target is not DecompositionTarget.C:
             raise ISVDError("ISVD0 produces scalar factors only (decomposition target 'c')")
-        return isvd0(matrix, rank, precision=precision)
+        return isvd0(matrix, rank, dtype=dtype)
     if method is ISVDMethod.ISVD1:
         return isvd1(matrix, rank, target=target, align_method=align_method,
-                     precision=precision)
+                     dtype=dtype)
     if method is ISVDMethod.ISVD2:
         return isvd2(matrix, rank, target=target, align_method=align_method,
                      kernel=kernel, gram_block_rows=gram_block_rows,
-                     precision=precision)
+                     dtype=dtype)
     if method is ISVDMethod.ISVD3:
         return isvd3(
             matrix, rank, target=target, align_method=align_method,
             condition_threshold=condition_threshold, kernel=kernel,
-            gram_block_rows=gram_block_rows, precision=precision,
+            gram_block_rows=gram_block_rows, dtype=dtype,
         )
     return isvd4(
         matrix, rank, target=target, align_method=align_method,
         condition_threshold=condition_threshold, kernel=kernel,
-        gram_block_rows=gram_block_rows, precision=precision,
+        gram_block_rows=gram_block_rows, dtype=dtype,
     )

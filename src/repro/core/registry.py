@@ -29,9 +29,8 @@ the fit callable:
   therefore honours a ``kernel=`` fit option (ISVD2/3/4, whose gram and
   factor-recovery steps are interval products);
 * ``dtype_aware`` — True when the method honours a ``dtype=`` fit option
-  selecting a precision policy (:mod:`repro.precision`): the ISVD family,
-  which can store endpoints in float32 (optionally with float64
-  accumulation) instead of the float64 default;
+  selecting the endpoint dtype: the ISVD family, which can store and
+  accumulate endpoints in float32 instead of the float64 default;
 * ``cost`` — coarse cost class: ``"closed-form"`` (a fixed number of dense
   linear-algebra kernels), ``"iterative"`` (gradient / multiplicative update
   loops) or ``"expensive"`` (methods the paper reports as impractically slow,

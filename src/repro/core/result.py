@@ -151,7 +151,7 @@ class IntervalDecomposition:
 
     @property
     def dtype(self) -> np.dtype:
-        """Endpoint dtype of the factors (float32 under a low-precision policy)."""
+        """Endpoint dtype of the factors (float32 for a float32 fit)."""
         u = self.u.lower if _is_interval(self.u) else np.asarray(self.u)
         return u.dtype
 

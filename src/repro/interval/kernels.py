@@ -164,20 +164,11 @@ def _inflate_product(lower, upper, a, b, matmul: Callable):
             np.nextafter(upper + pad, np.float32(np.inf)))
 
 
-def _inflate_gram(lower, upper, matrix, matmul: Callable,
-                  accum_dtype=None):
-    """Outward-inflate a float32 gram result of a sound kernel.
-
-    With float64 accumulation (the mixed policy) the forward error is
-    orders of magnitude below one float32 ulp, so the narrowing cast is the
-    only inward move and a one-ulp ``nextafter`` nudge suffices; pure
-    float32 execution gets the full :func:`enclosure_pad`.
-    """
+def _inflate_gram(lower, upper, matrix, matmul: Callable):
+    """Outward-inflate a float32 gram result of a sound kernel (no-op
+    otherwise) by the full :func:`enclosure_pad`."""
     if lower.dtype != np.float32:
         return lower, upper
-    if accum_dtype is not None and np.dtype(accum_dtype) == np.float64:
-        return (np.nextafter(lower, np.float32(-np.inf)),
-                np.nextafter(upper, np.float32(np.inf)))
     magnitude = _operand_magnitude(matrix)
     if sp.issparse(magnitude):
         magnitude = (magnitude.T.tocsr() @ magnitude).toarray()
@@ -265,8 +256,7 @@ class KernelInfo:
         return lower, upper
 
     def gram(self, matrix, matmul: Optional[Callable] = None,
-             block_rows: Optional[int] = None,
-             accum_dtype=None) -> Tuple[np.ndarray, np.ndarray]:
+             block_rows: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
         """Dense endpoint arrays of the Gram product ``matrix.T @ matrix``.
 
         The ISVD2/3/4 hot path.  Kernels with a dedicated gram routine
@@ -289,48 +279,19 @@ class KernelInfo:
         ``block_rows=None`` (default) reproduces the unblocked product byte
         for byte.  Kernels without a gram routine fall back to
         ``product(matrix.T, matrix)`` and reject ``block_rows``.
-
-        ``accum_dtype`` (the mixed-precision policy's accumulation dtype)
-        makes the endpoint/center/radius sums run in that dtype before the
-        result is cast back to the operand's storage dtype; ``None``
-        reproduces the storage-dtype execution exactly.
         """
         if matmul is None:
             matmul = np.matmul
-        if accum_dtype is not None and \
-                np.dtype(accum_dtype) == getattr(matrix, "dtype", None):
-            accum_dtype = None  # accumulating in the storage dtype is a no-op
         if self._gram is not None:
-            if accum_dtype is None:
-                lower, upper = self._gram(matrix, matmul, block_rows)
-            else:
-                lower, upper = self._gram(matrix, matmul, block_rows,
-                                          accum_dtype=accum_dtype)
+            lower, upper = self._gram(matrix, matmul, block_rows)
             if self.sound:
-                lower, upper = _inflate_gram(lower, upper, matrix, matmul,
-                                             accum_dtype=accum_dtype)
+                lower, upper = _inflate_gram(lower, upper, matrix, matmul)
             return lower, upper
         if block_rows is not None:
             raise IntervalError(
                 f"kernel {self.key!r} has no blocked gram path; leave "
                 "block_rows unset"
             )
-        if accum_dtype is not None:
-            # Upcast-execute-downcast: the product inflates itself only at
-            # float32 execution, so the float64-accumulated result needs the
-            # outward narrowing cast here to stay an enclosure.
-            storage = matrix.dtype
-            wide = matrix.astype(accum_dtype)
-            lower, upper = self.product(wide.T, wide, matmul=matmul)
-            if np.dtype(storage) != np.dtype(accum_dtype) and self.sound:
-                lower, upper = _inflate_gram(lower.astype(storage),
-                                             upper.astype(storage),
-                                             matrix, matmul,
-                                             accum_dtype=accum_dtype)
-            else:
-                lower = lower.astype(storage)
-                upper = upper.astype(storage)
-            return lower, upper
         return self.product(matrix.T, matrix, matmul=matmul)
 
 
@@ -416,20 +377,12 @@ def _endpoint4_sparse_product(a, b) -> Tuple[np.ndarray, np.ndarray]:
     return stacked.min(axis=0), stacked.max(axis=0)
 
 
-def _endpoint4_gram(m, matmul: Callable, block_rows: Optional[int],
-                    accum_dtype=None) -> Tuple[np.ndarray, np.ndarray]:
-    """Gram-product specialization: sparse BLAS input, optional row blocking.
-
-    ``accum_dtype`` (mixed precision) runs every endpoint product and sum in
-    that dtype and casts the result back to the storage dtype; ``None``
-    executes entirely in the storage dtype, byte-identical to before.
-    """
+def _endpoint4_gram(m, matmul: Callable,
+                    block_rows: Optional[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """Gram-product specialization: sparse BLAS input, optional row blocking."""
     # The two cross endpoint products of a Gram matrix are mutual transposes
     # (LᵀU = (UᵀL)ᵀ — same summand products, reassociated), so the sparse and
     # blocked paths compute one and transpose it: 3 products instead of 4.
-    storage = m.dtype
-    if accum_dtype is not None:
-        m = m.astype(accum_dtype)
     if is_sparse_interval(m):
         lower_t = m.lower.T.tocsr()
         upper_t = m.upper.T.tocsr()
@@ -440,20 +393,17 @@ def _endpoint4_gram(m, matmul: Callable, block_rows: Optional[int],
             cross.T,
             (upper_t @ m.upper).toarray(),
         ])
-        return (stacked.min(axis=0).astype(storage, copy=False),
-                stacked.max(axis=0).astype(storage, copy=False))
+        return stacked.min(axis=0), stacked.max(axis=0)
     lower, upper = m.lower, m.upper
     n = lower.shape[0]
     if block_rows is None or block_rows >= n:
-        lo, hi = _endpoint4_product(m.T, m, matmul)
-        return lo.astype(storage, copy=False), hi.astype(storage, copy=False)
+        return _endpoint4_product(m.T, m, matmul)
     if block_rows < 1:
         raise IntervalError(f"block_rows must be >= 1, got {block_rows}")
     width = lower.shape[1]
-    acc_dtype = lower.dtype if accum_dtype is None else np.dtype(accum_dtype)
-    acc_ll = np.zeros((width, width), dtype=acc_dtype)
-    acc_cross = np.zeros((width, width), dtype=acc_dtype)
-    acc_uu = np.zeros((width, width), dtype=acc_dtype)
+    acc_ll = np.zeros((width, width), dtype=lower.dtype)
+    acc_cross = np.zeros((width, width), dtype=lower.dtype)
+    acc_uu = np.zeros((width, width), dtype=lower.dtype)
     for start in range(0, n, block_rows):
         stop = start + block_rows
         lower_block = lower[start:stop]
@@ -462,8 +412,7 @@ def _endpoint4_gram(m, matmul: Callable, block_rows: Optional[int],
         acc_cross += matmul(lower_block.T, upper_block)
         acc_uu += matmul(upper_block.T, upper_block)
     candidates = (acc_ll, acc_cross, acc_cross.T, acc_uu)
-    return (np.minimum.reduce(candidates).astype(storage, copy=False),
-            np.maximum.reduce(candidates).astype(storage, copy=False))
+    return np.minimum.reduce(candidates), np.maximum.reduce(candidates)
 
 
 # --------------------------------------------------------------------------- #
@@ -586,17 +535,9 @@ def _rump_sparse_product(a, b) -> Tuple[np.ndarray, np.ndarray]:
     return center - radius, center + radius
 
 
-def _rump_gram(m, matmul: Callable, block_rows: Optional[int],
-               accum_dtype=None) -> Tuple[np.ndarray, np.ndarray]:
-    """Gram-product specialization of ``rump``: sparse input, row blocking.
-
-    ``accum_dtype`` (mixed precision) runs the center/radius products and
-    sums in that dtype and casts back to the storage dtype; ``None``
-    executes entirely in the storage dtype, byte-identical to before.
-    """
-    storage = m.dtype
-    if accum_dtype is not None:
-        m = m.astype(accum_dtype)
+def _rump_gram(m, matmul: Callable,
+               block_rows: Optional[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """Gram-product specialization of ``rump``: sparse input, row blocking."""
     if is_sparse_interval(m):
         center, radius = m.midpoint(), m.radius()
         center_t = center.T.tocsr()
@@ -604,18 +545,15 @@ def _rump_gram(m, matmul: Callable, block_rows: Optional[int],
         gram_center = (center_t @ center).toarray()
         gram_radius = (abs(center_t) @ radius).toarray() + (
             radius_t @ (abs(center) + radius)).toarray()
-        return ((gram_center - gram_radius).astype(storage, copy=False),
-                (gram_center + gram_radius).astype(storage, copy=False))
+        return gram_center - gram_radius, gram_center + gram_radius
     n = m.lower.shape[0]
     if block_rows is None or block_rows >= n:
-        lo, hi = _rump_product(m.T, m, matmul)
-        return lo.astype(storage, copy=False), hi.astype(storage, copy=False)
+        return _rump_product(m.T, m, matmul)
     if block_rows < 1:
         raise IntervalError(f"block_rows must be >= 1, got {block_rows}")
     width = m.lower.shape[1]
-    acc_dtype = m.lower.dtype if accum_dtype is None else np.dtype(accum_dtype)
-    gram_center = np.zeros((width, width), dtype=acc_dtype)
-    gram_radius = np.zeros((width, width), dtype=acc_dtype)
+    gram_center = np.zeros((width, width), dtype=m.lower.dtype)
+    gram_radius = np.zeros((width, width), dtype=m.lower.dtype)
     center, radius = m.midpoint(), m.radius()
     for start in range(0, n, block_rows):
         stop = start + block_rows
@@ -625,8 +563,7 @@ def _rump_gram(m, matmul: Callable, block_rows: Optional[int],
         gram_center += matmul(center_block.T, center_block)
         gram_radius += matmul(abs_center.T, radius_block) + matmul(
             radius_block.T, abs_center + radius_block)
-    return ((gram_center - gram_radius).astype(storage, copy=False),
-            (gram_center + gram_radius).astype(storage, copy=False))
+    return gram_center - gram_radius, gram_center + gram_radius
 
 
 register_kernel(KernelInfo(

@@ -90,8 +90,7 @@ def interval_matmul(a: MatrixLike, b: MatrixLike, matmul=None,
 
 
 def interval_gram(matrix: MatrixLike, kernel: KernelLike = None, matmul=None,
-                  block_rows: Optional[int] = None,
-                  accum_dtype=None) -> IntervalMatrix:
+                  block_rows: Optional[int] = None) -> IntervalMatrix:
     """Dense interval Gram matrix ``matrix.T @ matrix`` (the ISVD2/3/4 step).
 
     The result is always a dense ``m x m`` :class:`IntervalMatrix` (the
@@ -109,19 +108,12 @@ def interval_gram(matrix: MatrixLike, kernel: KernelLike = None, matmul=None,
 
     With ``block_rows=None`` and a dense input this is byte-identical to
     ``interval_matmul(matrix.T, matrix, kernel=kernel)``.
-
-    ``accum_dtype`` opts into mixed-precision accumulation: a float32 input
-    runs its endpoint products in ``accum_dtype`` (float64 for the ``mixed``
-    policy) and the result is cast back to the storage dtype, with the sound
-    kernels' enclosure inflation applied after the downcast.  ``None`` (the
-    default) accumulates in the input's own dtype.
     """
     matrix = as_interval_operand(matrix)
     if matrix.ndim != 2:
         raise IntervalError("interval_gram expects a 2-D interval matrix")
     lower, upper = get_kernel(kernel).gram(matrix, matmul=matmul,
-                                           block_rows=block_rows,
-                                           accum_dtype=accum_dtype)
+                                           block_rows=block_rows)
     return IntervalMatrix(np.asarray(lower), np.asarray(upper), check=False)
 
 

@@ -32,7 +32,7 @@ meaningful against a 2 000-item model.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -75,13 +75,6 @@ class FoldInProjector:
     (:mod:`repro.interval.kernels`) for the latent-feature product of
     :meth:`latent_features`; the scalar fold-in paths are kernel-independent.
 
-    ``accum_dtype`` opts into mixed-precision fold-in: pseudo-inverses are
-    computed and applied in that dtype (and the masked least squares solves
-    in it) while inputs and results stay in the model's storage dtype.  This
-    is the serving half of the ``mixed`` precision policy — float32 factors,
-    float64 accumulation.  ``None`` (default) accumulates in the storage
-    dtype, which for float64 models is exactly the historical behavior.
-
     **Batch-invariance guarantee.**  Dense projections run through
     :func:`batch_invariant_matmul` and sparse projections solve one least
     squares per row, so each folded row is a pure function of its own input
@@ -90,8 +83,7 @@ class FoldInProjector:
     """
 
     def __init__(self, decomposition: IntervalDecomposition,
-                 kernel: KernelLike = None,
-                 accum_dtype: Optional[Union[str, np.dtype]] = None):
+                 kernel: KernelLike = None):
         self.decomposition = decomposition
         self.kernel = get_kernel(kernel)
         self.rank = decomposition.rank
@@ -99,11 +91,6 @@ class FoldInProjector:
 
         #: Scalar item map ``Sigma_mid V_mid^T`` (r x m).
         self.item_map = decomposition.item_map()
-        #: Accumulation dtype for the fold-in solves; ``None`` means "the
-        #: storage dtype", which keeps the float64 path byte-identical.
-        self.accum_dtype = None if accum_dtype is None else np.dtype(accum_dtype)
-        if self.accum_dtype is not None and self.accum_dtype == self.item_map.dtype:
-            self.accum_dtype = None
 
         sigma_lo, sigma_hi = decomposition.sigma_endpoints()
         v_lo, v_hi = decomposition.v_endpoints()
@@ -117,31 +104,13 @@ class FoldInProjector:
 
     @cached_property
     def _pinv_mid(self) -> np.ndarray:
-        return self._pinv(self.item_map)
+        return np.linalg.pinv(self.item_map)
 
     @cached_property
     def _pinv_endpoints(self) -> Tuple[np.ndarray, np.ndarray]:
         if self._map_lower is self.item_map:  # scalar factors: one pinv
             return self._pinv_mid, self._pinv_mid
-        return self._pinv(self._map_lower), self._pinv(self._map_upper)
-
-    def _pinv(self, item_map: np.ndarray) -> np.ndarray:
-        """Pseudo-inverse in the accumulation dtype (kept there for reuse)."""
-        if self.accum_dtype is not None:
-            item_map = item_map.astype(self.accum_dtype, copy=False)
-        return np.linalg.pinv(item_map)
-
-    def _project(self, values: np.ndarray, pinv: np.ndarray) -> np.ndarray:
-        """Dense projection through a precomputed pseudo-inverse.
-
-        Under mixed precision the product runs in ``accum_dtype`` (the pinv
-        already lives there) and the result is cast back to storage.
-        """
-        if self.accum_dtype is None:
-            return batch_invariant_matmul(values, pinv)
-        out = batch_invariant_matmul(
-            values.astype(self.accum_dtype, copy=False), pinv)
-        return out.astype(self.item_map.dtype, copy=False)
+        return np.linalg.pinv(self._map_lower), np.linalg.pinv(self._map_upper)
 
     # ------------------------------------------------------------------ #
     # Input normalization
@@ -170,9 +139,6 @@ class FoldInProjector:
         indptr = rows.lower.indptr
         indices = rows.lower.indices
         latent = np.zeros((rows.shape[0], self.rank), dtype=item_map.dtype)
-        if self.accum_dtype is not None:
-            item_map = item_map.astype(self.accum_dtype, copy=False)
-            values = values.astype(self.accum_dtype, copy=False)
         for i in range(rows.shape[0]):
             start, stop = indptr[i], indptr[i + 1]
             if start == stop:
@@ -197,7 +163,7 @@ class FoldInProjector:
         if is_sparse_interval(rows):
             midpoints = 0.5 * (rows.lower.data + rows.upper.data)
             return self._masked_least_squares(rows, midpoints, self.item_map)
-        return self._project(rows.midpoint(), self._pinv_mid)
+        return batch_invariant_matmul(rows.midpoint(), self._pinv_mid)
 
     def fold_in_interval(self, rows: Rows) -> IntervalMatrix:
         """Interval latent coordinates (``q x r``) of the rows.
@@ -215,8 +181,8 @@ class FoldInProjector:
             upper = self._masked_least_squares(rows, rows.upper.data, self._map_upper)
         else:
             pinv_lower, pinv_upper = self._pinv_endpoints
-            lower = self._project(rows.lower, pinv_lower)
-            upper = self._project(rows.upper, pinv_upper)
+            lower = batch_invariant_matmul(rows.lower, pinv_lower)
+            upper = batch_invariant_matmul(rows.upper, pinv_upper)
         return IntervalMatrix(np.minimum(lower, upper), np.maximum(lower, upper))
 
     def latent_features(self, rows: Rows) -> IntervalMatrix:

@@ -167,18 +167,14 @@ class QueryEngine:
 
     def __init__(self, decomposition: IntervalDecomposition,
                  kernel: KernelLike = None,
-                 projector: Optional[FoldInProjector] = None,
-                 accum_dtype=None):
+                 projector: Optional[FoldInProjector] = None):
         self.decomposition = decomposition
         #: ``projector`` lets callers share one precomputed fold-in projector
         #: across engines whose item-side factors are bitwise identical —
         #: the sharded router replicates ``Sigma``/``V`` into every shard,
         #: so computing the pseudo-inverse SVDs once is enough.  When given,
-        #: it overrides ``kernel`` (and ``accum_dtype``) for the fold-in
-        #: paths; ``accum_dtype`` otherwise opts the projector into
-        #: mixed-precision accumulation (see :class:`FoldInProjector`).
-        self.projector = (FoldInProjector(decomposition, kernel=kernel,
-                                          accum_dtype=accum_dtype)
+        #: it overrides ``kernel`` for the fold-in paths.
+        self.projector = (FoldInProjector(decomposition, kernel=kernel)
                           if projector is None else projector)
         self.item_map = self.projector.item_map
         self.n_items = self.projector.n_items

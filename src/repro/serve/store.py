@@ -69,7 +69,7 @@ class ModelRecord:
     concurrent reader is loading.  ``None`` means the legacy unversioned
     layout (and always accompanies ``shards=None``).  ``dtype`` names the
     endpoint dtype of the factors (``"float64"`` unless the model was fitted
-    under a low-precision policy) and is verified against the actual factor
+    at float32) and is verified against the actual factor
     arrays on load, so a float32 model can never be served as float64 (or
     vice versa) by editing the sidecar.  Sidecars of float64 single-file
     models stay byte-compatible with earlier releases (the optional keys are

@@ -1,4 +1,4 @@
-"""Declared per-op error budgets for the low-precision modes.
+"""Declared per-op error budgets for float32 execution.
 
 This module is the **single auditable home** of every numeric tolerance the
 precision tier asserts.  No test under ``tests/precision/`` may carry its
@@ -71,23 +71,15 @@ def product_budget(inner_dim: int, magnitude: float, dtype: str) -> float:
 
 #: Relative error of recommendation scores (fold-in reconstruction) against
 #: the float64 reference engine, normalized by the score matrix's scale
-#: (max |score|).  float32 carries the factorization itself in float32;
-#: mixed recovers most of the gap by accumulating gram and fold-in least
-#: squares in float64.
-SCORE_RTOL = {
-    "float32": 5e-6,
-    "mixed": 5e-6,
-}
+#: (max |score|).  float32 carries the factorization itself in float32.
+SCORE_RTOL = 5e-6
 
 #: Relative error of nearest-neighbour *distances* against the float64
 #: reference, normalized by the largest reference distance.  Looser than
 #: SCORE_RTOL because in-sample queries sit near their own reconstruction,
 #: so small distances lose leading digits to cancellation (worst observed
 #: on the calibration family: ~5e-4).
-DISTANCE_RTOL = {
-    "float32": 5e-3,
-    "mixed": 5e-3,
-}
+DISTANCE_RTOL = 5e-3
 
 #: Minimum mean top-k overlap (|intersection| / k) between the low-precision
 #: engine's top-k item sets and the float64 reference's.  Rank inversions
@@ -95,25 +87,16 @@ DISTANCE_RTOL = {
 #: the floor is below 1.0 by design; on the calibration family the observed
 #: overlap never fell below 1.0, so the floor carries ample slack for less
 #: separated spectra.
-TOPK_OVERLAP_MIN = {
-    "float32": 0.9,
-    "mixed": 0.9,
-}
+TOPK_OVERLAP_MIN = 0.9
 
 #: Same floor for nearest-neighbour candidate sets.
-NN_OVERLAP_MIN = {
-    "float32": 0.9,
-    "mixed": 0.9,
-}
+NN_OVERLAP_MIN = 0.9
 
 #: Relative error of the singular values of a low-precision factorization
 #: against the float64 reference (sorted, positionally compared).  Singular
 #: *values* are perfectly conditioned (Weyl), so this budget is tight —
 #: failures here point at the factorization plumbing, not at conditioning.
-SIGMA_RTOL = {
-    "float32": 3e-6,
-    "mixed": 3e-6,
-}
+SIGMA_RTOL = 3e-6
 
 #: Storage-size ratio the float32 endpoint representation must achieve
 #: against float64 (the "~2x storage reduction" headline; exactly 2.0 for

@@ -1,9 +1,8 @@
-"""End-to-end error budgets: low-precision engines vs the float64 reference.
+"""End-to-end error budgets: float32 engines vs the float64 reference.
 
 Each test fits the same interval model twice — once at float64 (the
-reference) and once under a low-precision policy (``float32`` storage, or
-``mixed``: float32 storage with float64 gram/fold-in accumulation) — then
-drives the full serving surface (scores, top-k, nearest neighbours) through
+reference) and once at float32 — then drives the full serving surface
+(scores, top-k, nearest neighbours) through
 :class:`~repro.serve.query.QueryEngine` and asserts every deviation against
 the budgets declared in :mod:`budgets`.  No tolerance appears inline; see
 that module for the calibration story.
@@ -15,7 +14,6 @@ within the family.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,8 +26,6 @@ from repro.serve.query import QueryEngine
 
 RANK = 6
 TOP_K = 5
-#: (policy, QueryEngine fold-in accumulation dtype) pairs under budget.
-POLICIES = (("float32", None), ("mixed", "float64"))
 
 COMMON_SETTINGS = common_settings(max_examples=10)
 
@@ -48,12 +44,10 @@ def make_model_matrix(seed, n_users=40, n_items=24, rank=RANK):
     return IntervalMatrix(base - radius, base + radius)
 
 
-def _engines(matrix, policy, accum_dtype):
+def _engines(matrix):
     reference = QueryEngine(isvd(matrix, RANK, method="isvd4", target="b"))
     low = QueryEngine(
-        isvd(matrix, RANK, method="isvd4", target="b", dtype=policy),
-        accum_dtype=accum_dtype,
-    )
+        isvd(matrix, RANK, method="isvd4", target="b", dtype="float32"))
     return reference, low
 
 
@@ -71,61 +65,60 @@ def _mean_overlap(indices_a, indices_b):
     ]))
 
 
-@pytest.mark.parametrize("policy,accum_dtype", POLICIES)
 class TestErrorBudget:
     @settings(**COMMON_SETTINGS)
     @given(model_seeds)
-    def test_singular_values_within_budget(self, policy, accum_dtype, seed):
+    def test_singular_values_within_budget(self, seed):
         matrix = make_model_matrix(seed)
-        reference, low = _engines(matrix, policy, accum_dtype)
+        reference, low = _engines(matrix)
         sigma_ref = _sigma_midpoints(reference.decomposition)[:RANK]
         sigma_low = _sigma_midpoints(low.decomposition)[:RANK]
         relative = np.max(np.abs(sigma_low - sigma_ref) / np.abs(sigma_ref))
-        assert relative <= budgets.SIGMA_RTOL[policy], (
+        assert relative <= budgets.SIGMA_RTOL, (
             f"sigma deviation {relative:.3e} over budget "
-            f"{budgets.SIGMA_RTOL[policy]:.1e} ({policy})"
+            f"{budgets.SIGMA_RTOL:.1e}"
         )
 
     @settings(**COMMON_SETTINGS)
     @given(model_seeds)
-    def test_scores_within_budget(self, policy, accum_dtype, seed):
+    def test_scores_within_budget(self, seed):
         matrix = make_model_matrix(seed)
-        reference, low = _engines(matrix, policy, accum_dtype)
+        reference, low = _engines(matrix)
         scores_ref = reference.scores_for_users()
         scores_low = np.asarray(low.scores_for_users(), dtype=np.float64)
         relative = (np.max(np.abs(scores_low - scores_ref))
                     / np.max(np.abs(scores_ref)))
-        assert relative <= budgets.SCORE_RTOL[policy], (
+        assert relative <= budgets.SCORE_RTOL, (
             f"score deviation {relative:.3e} over budget "
-            f"{budgets.SCORE_RTOL[policy]:.1e} ({policy})"
+            f"{budgets.SCORE_RTOL:.1e}"
         )
 
     @settings(**COMMON_SETTINGS)
     @given(model_seeds)
-    def test_top_k_rank_fidelity(self, policy, accum_dtype, seed):
+    def test_top_k_rank_fidelity(self, seed):
         matrix = make_model_matrix(seed)
-        reference, low = _engines(matrix, policy, accum_dtype)
+        reference, low = _engines(matrix)
         users = list(range(10))
         topk_ref = reference.top_k_for_users(users, TOP_K)
         topk_low = low.top_k_for_users(users, TOP_K)
         overlap = _mean_overlap(topk_low.indices, topk_ref.indices)
-        assert overlap >= budgets.TOPK_OVERLAP_MIN[policy], (
+        assert overlap >= budgets.TOPK_OVERLAP_MIN, (
             f"top-{TOP_K} overlap {overlap:.3f} under floor "
-            f"{budgets.TOPK_OVERLAP_MIN[policy]} ({policy})"
+            f"{budgets.TOPK_OVERLAP_MIN}"
         )
 
     @settings(**COMMON_SETTINGS)
     @given(model_seeds)
-    def test_nearest_neighbors_within_budget(self, policy, accum_dtype, seed):
+    def test_nearest_neighbors_within_budget(self, seed):
         matrix = make_model_matrix(seed)
-        reference, low = _engines(matrix, policy, accum_dtype)
+        reference, low = _engines(matrix)
         queries = matrix.midpoint()[:6]
         nn_ref = reference.nearest_neighbors(queries, TOP_K)
         nn_low = low.nearest_neighbors(queries, TOP_K)
         overlap = _mean_overlap(nn_low.indices, nn_ref.indices)
-        assert overlap >= budgets.NN_OVERLAP_MIN[policy], (
+        assert overlap >= budgets.NN_OVERLAP_MIN, (
             f"NN overlap {overlap:.3f} under floor "
-            f"{budgets.NN_OVERLAP_MIN[policy]} ({policy})"
+            f"{budgets.NN_OVERLAP_MIN}"
         )
         # Distances compare sorted so a budget failure reports magnitude
         # drift, not the (already asserted) set disagreement.
@@ -134,24 +127,24 @@ class TestErrorBudget:
             np.asarray(nn_low.scores, dtype=np.float64), axis=1)
         relative = (np.max(np.abs(distances_low - distances_ref))
                     / np.max(np.abs(distances_ref)))
-        assert relative <= budgets.DISTANCE_RTOL[policy], (
+        assert relative <= budgets.DISTANCE_RTOL, (
             f"NN distance deviation {relative:.3e} over budget "
-            f"{budgets.DISTANCE_RTOL[policy]:.1e} ({policy})"
+            f"{budgets.DISTANCE_RTOL:.1e}"
         )
 
     @settings(**COMMON_SETTINGS)
     @given(model_seeds)
-    def test_fold_in_scores_within_budget(self, policy, accum_dtype, seed):
+    def test_fold_in_scores_within_budget(self, seed):
         matrix = make_model_matrix(seed)
-        reference, low = _engines(matrix, policy, accum_dtype)
+        reference, low = _engines(matrix)
         rows = matrix.midpoint()[-4:]
         folded_ref = reference.reconstruct_rows(rows)
         folded_low = np.asarray(low.reconstruct_rows(rows), dtype=np.float64)
         relative = (np.max(np.abs(folded_low - folded_ref))
                     / np.max(np.abs(folded_ref)))
-        assert relative <= budgets.SCORE_RTOL[policy], (
+        assert relative <= budgets.SCORE_RTOL, (
             f"fold-in deviation {relative:.3e} over budget "
-            f"{budgets.SCORE_RTOL[policy]:.1e} ({policy})"
+            f"{budgets.SCORE_RTOL:.1e}"
         )
 
 
