@@ -215,7 +215,6 @@ def isvd1(
 # --------------------------------------------------------------------------- #
 def _gram_eigendecompositions(
     matrix: IntervalMatrix, rank: int, kernel: KernelLike = None,
-    gram_block_rows: Optional[int] = None,
     dtype: Optional[np.dtype] = None,
 ) -> Tuple[IntervalMatrix, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Eigen-decompose the interval Gram matrix ``A = M^T M`` (Section 4.3.1).
@@ -223,13 +222,13 @@ def _gram_eigendecompositions(
     Returns ``(A, V_lo, sigma_lo, V_hi, sigma_hi)`` where the sigma vectors are
     the square roots of the top-``r`` eigenvalues of ``A_lo`` and ``A_hi``.
     ``kernel`` selects the interval-product kernel for the Gram step; the
-    product runs through :func:`~repro.interval.linalg.interval_gram`, so a
-    sparse ``matrix`` never densifies and ``gram_block_rows`` bounds the dense
-    path's temporaries by accumulating over row chunks.  ``dtype`` is the
+    product runs through :func:`~repro.interval.linalg.interval_gram`: a
+    dense ``matrix`` gives the bytes of ``interval_matmul(matrix.T, matrix)``
+    and a sparse one never densifies.  ``dtype`` is the
     LAPACK compute dtype of the eigen steps (``None``: float64, whatever the
     matrix's dtype).
     """
-    gram = interval_gram(matrix, kernel=kernel, block_rows=gram_block_rows)
+    gram = interval_gram(matrix, kernel=kernel)
     v_lo, s_lo = truncated_eigh(gram.lower, rank, dtype=dtype)
     v_hi, s_hi = truncated_eigh(gram.upper, rank, dtype=dtype)
     return gram, v_lo, s_lo, v_hi, s_hi
@@ -257,7 +256,6 @@ def isvd2(
     target: Union[str, DecompositionTarget] = DecompositionTarget.B,
     align_method: str = "hungarian",
     kernel: KernelLike = None,
-    gram_block_rows: Optional[int] = None,
     dtype: Optional[np.dtype] = None,
 ) -> IntervalDecomposition:
     """Eigen-decompose the interval Gram matrix, solve for U, then align (Alg. 9)."""
@@ -267,8 +265,7 @@ def isvd2(
 
     start = time.perf_counter()
     _, v_lo, s_lo, v_hi, s_hi = _gram_eigendecompositions(
-        matrix, rank, kernel=kernel, gram_block_rows=gram_block_rows,
-        dtype=dtype)
+        matrix, rank, kernel=kernel, dtype=dtype)
     timings["preprocessing"] = 0.0
     timings["decomposition"] = time.perf_counter() - start
 
@@ -297,7 +294,6 @@ def isvd2(
 # --------------------------------------------------------------------------- #
 def _aligned_gram_factors(
     matrix: IntervalMatrix, rank: int, align_method: str, kernel: KernelLike = None,
-    gram_block_rows: Optional[int] = None,
     dtype: Optional[np.dtype] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, AlignmentResult, Dict[str, float]]:
     """Shared first phase of ISVD3/ISVD4: eigen-decompose, then align V and Sigma."""
@@ -305,8 +301,7 @@ def _aligned_gram_factors(
 
     start = time.perf_counter()
     _, v_lo, s_lo, v_hi, s_hi = _gram_eigendecompositions(
-        matrix, rank, kernel=kernel, gram_block_rows=gram_block_rows,
-        dtype=dtype)
+        matrix, rank, kernel=kernel, dtype=dtype)
     timings["decomposition"] = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -350,7 +345,6 @@ def isvd3(
     align_method: str = "hungarian",
     condition_threshold: float = DEFAULT_CONDITION_THRESHOLD,
     kernel: KernelLike = None,
-    gram_block_rows: Optional[int] = None,
     dtype: Optional[np.dtype] = None,
 ) -> IntervalDecomposition:
     """Align the right factors first, then solve for U with interval algebra (Alg. 10)."""
@@ -358,8 +352,7 @@ def isvd3(
     _validate_inputs(matrix, rank)
 
     v_lo, s_lo, v_hi, s_hi, alignment, timings = _aligned_gram_factors(
-        matrix, rank, align_method, kernel=kernel, gram_block_rows=gram_block_rows,
-        dtype=dtype,
+        matrix, rank, align_method, kernel=kernel, dtype=dtype,
     )
 
     start = time.perf_counter()
@@ -389,7 +382,6 @@ def isvd4(
     align_method: str = "hungarian",
     condition_threshold: float = DEFAULT_CONDITION_THRESHOLD,
     kernel: KernelLike = None,
-    gram_block_rows: Optional[int] = None,
     dtype: Optional[np.dtype] = None,
 ) -> IntervalDecomposition:
     """ISVD3 plus a final recomputation of V from the recovered U (Alg. 11).
@@ -401,8 +393,7 @@ def isvd4(
     _validate_inputs(matrix, rank)
 
     v_lo, s_lo, v_hi, s_hi, alignment, timings = _aligned_gram_factors(
-        matrix, rank, align_method, kernel=kernel, gram_block_rows=gram_block_rows,
-        dtype=dtype,
+        matrix, rank, align_method, kernel=kernel, dtype=dtype,
     )
 
     start = time.perf_counter()
@@ -438,7 +429,6 @@ def isvd(
     align_method: str = "hungarian",
     condition_threshold: float = DEFAULT_CONDITION_THRESHOLD,
     kernel: KernelLike = None,
-    gram_block_rows: Optional[int] = None,
     dtype=None,
 ) -> IntervalDecomposition:
     """Decompose an interval-valued matrix with the requested ISVD strategy.
@@ -467,13 +457,10 @@ def isvd(
         pseudo-inverse (Section 4.4.2.2).
     kernel:
         Interval-product kernel (:mod:`repro.interval.kernels`) used by the
-        ISVD2/3/4 gram and factor-recovery products.  ``None`` keeps the
-        paper-faithful ``endpoint4`` default; ISVD0/ISVD1 never form interval
-        products, so they accept and ignore the parameter.
-    gram_block_rows:
-        Row-chunk size for the dense ISVD2/3/4 gram accumulation (see
-        :func:`~repro.interval.linalg.interval_gram`).  ``None`` (default)
-        keeps the unblocked, byte-identical product.
+        ISVD2/3/4 gram and factor-recovery products; a dense gram is that
+        kernel's product ``matrix.T @ matrix``, byte for byte.  ``None``
+        keeps the paper-faithful ``endpoint4`` default; ISVD0/ISVD1 never
+        form interval products, so they accept and ignore the parameter.
     dtype:
         Endpoint dtype, float64 or float32 in any numpy spelling
         (``"float32"``, ``np.float32``, ...); anything else raises
@@ -508,16 +495,15 @@ def isvd(
                      dtype=dtype)
     if method is ISVDMethod.ISVD2:
         return isvd2(matrix, rank, target=target, align_method=align_method,
-                     kernel=kernel, gram_block_rows=gram_block_rows,
-                     dtype=dtype)
+                     kernel=kernel, dtype=dtype)
     if method is ISVDMethod.ISVD3:
         return isvd3(
             matrix, rank, target=target, align_method=align_method,
             condition_threshold=condition_threshold, kernel=kernel,
-            gram_block_rows=gram_block_rows, dtype=dtype,
+            dtype=dtype,
         )
     return isvd4(
         matrix, rank, target=target, align_method=align_method,
         condition_threshold=condition_threshold, kernel=kernel,
-        gram_block_rows=gram_block_rows, dtype=dtype,
+        dtype=dtype,
     )

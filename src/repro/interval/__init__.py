@@ -7,7 +7,7 @@ and the interval linear-algebra kernels (interval matrix multiplication,
 average replacement, diagonal-core inversion, L2 column normalization) that
 the ISVD algorithms are built from.
 
-The interval matrix product is pluggable (:mod:`repro.interval.kernels`):
+The interval matrix product is selectable (:mod:`repro.interval.kernels`):
 the paper-faithful ``endpoint4`` construction stays the default, with sound
 ``exact`` and ``rump`` alternatives selectable wherever a product runs.
 """
@@ -25,8 +25,6 @@ from repro.interval.kernels import (
     available_kernels,
     get_kernel,
     kernel_infos,
-    register_kernel,
-    resolve_mixed_chunk_elements,
 )
 from repro.interval.linalg import (
     interval_matmul,
@@ -54,8 +52,6 @@ __all__ = [
     "available_kernels",
     "get_kernel",
     "kernel_infos",
-    "register_kernel",
-    "resolve_mixed_chunk_elements",
     "interval_matmul",
     "interval_gram",
     "average_replacement_matrix",

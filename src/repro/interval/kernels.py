@@ -1,4 +1,4 @@
-"""Pluggable interval matrix-product kernels.
+"""Selectable interval matrix-product kernels.
 
 Every hot path of the library — the ISVD gram/U/V steps, target-a
 reconstruction, and the serving fold-in — funnels through one operation: the
@@ -44,7 +44,6 @@ kernel="rump")``, or ``--interval-kernel`` on the CLI.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -53,48 +52,15 @@ import scipy.sparse as sp
 
 from repro.interval.array import IntervalMatrix
 from repro.interval.scalar import IntervalError
-from repro.interval.sparse import SparseIntervalMatrix, is_sparse_interval
+from repro.interval.sparse import is_sparse_interval
 
 #: The paper's construction stays the default so reproduction outputs are
 #: byte-identical to the seed implementation.
 DEFAULT_KERNEL = "endpoint4"
 
-#: Default upper bound on the elements of one (n, chunk, p) temporary in the
-#: exact kernel's mixed x mixed correction (~32 MB of float64 per temporary).
-#: Override per call (``mixed_chunk_elements=``) or process-wide via the
-#: ``REPRO_MIXED_CHUNK_ELEMENTS`` environment variable.
+#: Upper bound on the elements of one (n, chunk, p) temporary in the exact
+#: kernel's mixed x mixed correction (~32 MB of float64 per temporary).
 _MIXED_CHUNK_ELEMENTS = 4_000_000
-
-#: Environment variable overriding :data:`_MIXED_CHUNK_ELEMENTS`.
-MIXED_CHUNK_ENV = "REPRO_MIXED_CHUNK_ELEMENTS"
-
-
-def resolve_mixed_chunk_elements(override: Optional[int] = None) -> int:
-    """Effective chunk bound: explicit override, else env var, else default.
-
-    Raises :class:`~repro.interval.scalar.IntervalError` for non-positive or
-    unparseable values so a bad tuning knob fails loudly at the call site.
-    """
-    if override is None:
-        text = os.environ.get(MIXED_CHUNK_ENV, "").strip()
-        if not text:
-            return _MIXED_CHUNK_ELEMENTS
-        try:
-            override = int(text)
-        except ValueError:
-            raise IntervalError(
-                f"{MIXED_CHUNK_ENV}={text!r} is not an integer"
-            ) from None
-    override = int(override)
-    if override < 1:
-        raise IntervalError(
-            f"mixed chunk elements must be a positive integer, got {override}"
-        )
-    return override
-
-
-#: Kernel callable: (a, b, scalar_matmul, mixed_chunk_elements) -> (lower, upper).
-ProductFn = Callable[..., Tuple[np.ndarray, np.ndarray]]
 
 
 # --------------------------------------------------------------------------- #
@@ -164,16 +130,13 @@ def _inflate_product(lower, upper, a, b, matmul: Callable):
             np.nextafter(upper + pad, np.float32(np.inf)))
 
 
-def _inflate_gram(lower, upper, matrix, matmul: Callable):
-    """Outward-inflate a float32 gram result of a sound kernel (no-op
+def _inflate_gram(lower, upper, matrix):
+    """Outward-inflate a float32 sparse gram result of a sound kernel (no-op
     otherwise) by the full :func:`enclosure_pad`."""
     if lower.dtype != np.float32:
         return lower, upper
     magnitude = _operand_magnitude(matrix)
-    if sp.issparse(magnitude):
-        magnitude = (magnitude.T.tocsr() @ magnitude).toarray()
-    else:
-        magnitude = matmul(magnitude.T, magnitude)
+    magnitude = (magnitude.T.tocsr() @ magnitude).toarray()
     pad = enclosure_pad(magnitude, matrix.shape[0], lower.dtype)
     return (np.nextafter(lower - pad, np.float32(-np.inf)),
             np.nextafter(upper + pad, np.float32(np.inf)))
@@ -200,11 +163,6 @@ class KernelInfo:
         paths must keep this one to stay byte-identical.
     cost:
         Coarse cost class, e.g. ``"4 blas"`` or ``"blas + O(nmp) mixed"``.
-    sparse:
-        True when the kernel executes :class:`SparseIntervalMatrix` operands
-        through scipy's sparse BLAS instead of densifying them.  Kernels
-        without sparse support raise on sparse operands rather than silently
-        materializing a dense copy.
     """
 
     key: str
@@ -213,13 +171,20 @@ class KernelInfo:
     tight: bool
     paper_faithful: bool
     cost: str
-    sparse: bool = False
-    _product: ProductFn = field(repr=False, default=None)
+    _product: Callable = field(repr=False)
     _sparse_product: Optional[Callable] = field(repr=False, default=None)
-    _gram: Optional[Callable] = field(repr=False, default=None)
+    _sparse_gram: Optional[Callable] = field(repr=False, default=None)
 
-    def product(self, a, b, matmul: Optional[Callable] = None,
-                mixed_chunk_elements: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
+    @property
+    def sparse(self) -> bool:
+        """True when the kernel executes :class:`SparseIntervalMatrix`
+        operands through scipy's sparse BLAS instead of densifying them.
+        Kernels without sparse support raise on sparse operands rather than
+        silently materializing a dense copy."""
+        return self._sparse_product is not None
+
+    def product(self, a, b,
+                matmul: Optional[Callable] = None) -> Tuple[np.ndarray, np.ndarray]:
         """Endpoint arrays of ``a @ b`` under this kernel.
 
         ``matmul`` overrides the scalar product primitive (default
@@ -227,8 +192,6 @@ class KernelInfo:
         einsum so micro-batching never changes served bytes.  Sparse operands
         route through scipy's sparse BLAS (``matmul`` does not apply there);
         when both operands are sparse the returned endpoints are sparse too.
-        ``mixed_chunk_elements`` tunes the ``exact`` kernel's mixed x mixed
-        chunking; other kernels ignore it.
         """
         if is_sparse_interval(a) or is_sparse_interval(b):
             if self._sparse_product is None:
@@ -244,66 +207,30 @@ class KernelInfo:
             return lower, upper
         if matmul is None:
             matmul = np.matmul
-        if mixed_chunk_elements is None:
-            # Three-argument call keeps kernels registered against the PR-3
-            # ProductFn contract working; the built-ins default the kwarg.
-            lower, upper = self._product(a, b, matmul)
-        else:
-            lower, upper = self._product(a, b, matmul,
-                                         mixed_chunk_elements=mixed_chunk_elements)
+        lower, upper = self._product(a, b, matmul)
         if self.sound:
             lower, upper = _inflate_product(lower, upper, a, b, matmul)
         return lower, upper
 
-    def gram(self, matrix, matmul: Optional[Callable] = None,
-             block_rows: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
+    def gram(self, matrix) -> Tuple[np.ndarray, np.ndarray]:
         """Dense endpoint arrays of the Gram product ``matrix.T @ matrix``.
 
-        The ISVD2/3/4 hot path.  Kernels with a dedicated gram routine
-        (``endpoint4``, ``rump``) support two executions beyond the plain
-        product:
-
-        * **sparse** — ``matrix`` may be a :class:`SparseIntervalMatrix`; the
-          endpoint products run in scipy's sparse BLAS and only the (small,
-          dense) ``m x m`` results are materialized;
-        * **blocked** — with ``block_rows`` set, dense endpoint products
-          accumulate over row chunks of ``matrix``, so no more than four
-          ``m x m`` accumulators plus one chunk's temporaries are live at
-          once (instead of four full products plus their stacked copy).
-          Blockwise accumulation regroups the inner-dimension sum, which is
-          algebraically exact for ``endpoint4`` (min/max happens after the
-          full sum) and for ``rump`` (center/radius are sums of per-row
-          outer products); floating-point results may differ from the
-          unblocked path in the last ulp.
-
-        ``block_rows=None`` (default) reproduces the unblocked product byte
-        for byte.  Kernels without a gram routine fall back to
-        ``product(matrix.T, matrix)`` and reject ``block_rows``.
+        The ISVD2/3/4 hot path.  A dense ``matrix`` runs
+        ``product(matrix.T, matrix)`` itself, so the gram and the product
+        are the same bytes.  A :class:`SparseIntervalMatrix` on a kernel with
+        sparse execution runs its endpoint products in scipy's sparse BLAS and
+        only the (small, dense) ``m x m`` results are materialized; on a
+        kernel without it, ``product`` raises.
         """
-        if matmul is None:
-            matmul = np.matmul
-        if self._gram is not None:
-            lower, upper = self._gram(matrix, matmul, block_rows)
+        if is_sparse_interval(matrix) and self._sparse_gram is not None:
+            lower, upper = self._sparse_gram(matrix)
             if self.sound:
-                lower, upper = _inflate_gram(lower, upper, matrix, matmul)
+                lower, upper = _inflate_gram(lower, upper, matrix)
             return lower, upper
-        if block_rows is not None:
-            raise IntervalError(
-                f"kernel {self.key!r} has no blocked gram path; leave "
-                "block_rows unset"
-            )
-        return self.product(matrix.T, matrix, matmul=matmul)
+        return self.product(matrix.T, matrix)
 
-
-_KERNELS: Dict[str, KernelInfo] = {}
 
 KernelLike = Union[str, KernelInfo, None]
-
-
-def register_kernel(info: KernelInfo) -> KernelInfo:
-    """Add a kernel to the registry (last registration of a key wins)."""
-    _KERNELS[info.key] = info
-    return info
 
 
 def get_kernel(kernel: KernelLike = None) -> KernelInfo:
@@ -338,9 +265,8 @@ def kernel_infos() -> List[KernelInfo]:
 # --------------------------------------------------------------------------- #
 # endpoint4 — the paper's four-endpoint construction (supplementary Alg. 1)
 # --------------------------------------------------------------------------- #
-def _endpoint4_product(a: IntervalMatrix, b: IntervalMatrix, matmul: Callable,
-                       mixed_chunk_elements: Optional[int] = None,
-                       ) -> Tuple[np.ndarray, np.ndarray]:
+def _endpoint4_product(a: IntervalMatrix, b: IntervalMatrix,
+                       matmul: Callable) -> Tuple[np.ndarray, np.ndarray]:
     products = (
         matmul(a.lower, b.lower),
         matmul(a.lower, b.upper),
@@ -377,50 +303,28 @@ def _endpoint4_sparse_product(a, b) -> Tuple[np.ndarray, np.ndarray]:
     return stacked.min(axis=0), stacked.max(axis=0)
 
 
-def _endpoint4_gram(m, matmul: Callable,
-                    block_rows: Optional[int]) -> Tuple[np.ndarray, np.ndarray]:
-    """Gram-product specialization: sparse BLAS input, optional row blocking."""
+def _endpoint4_sparse_gram(m) -> Tuple[np.ndarray, np.ndarray]:
+    """Gram product of a sparse operand in scipy's sparse BLAS."""
     # The two cross endpoint products of a Gram matrix are mutual transposes
-    # (LᵀU = (UᵀL)ᵀ — same summand products, reassociated), so the sparse and
-    # blocked paths compute one and transpose it: 3 products instead of 4.
-    if is_sparse_interval(m):
-        lower_t = m.lower.T.tocsr()
-        upper_t = m.upper.T.tocsr()
-        cross = (lower_t @ m.upper).toarray()
-        stacked = np.stack([
-            (lower_t @ m.lower).toarray(),
-            cross,
-            cross.T,
-            (upper_t @ m.upper).toarray(),
-        ])
-        return stacked.min(axis=0), stacked.max(axis=0)
-    lower, upper = m.lower, m.upper
-    n = lower.shape[0]
-    if block_rows is None or block_rows >= n:
-        return _endpoint4_product(m.T, m, matmul)
-    if block_rows < 1:
-        raise IntervalError(f"block_rows must be >= 1, got {block_rows}")
-    width = lower.shape[1]
-    acc_ll = np.zeros((width, width), dtype=lower.dtype)
-    acc_cross = np.zeros((width, width), dtype=lower.dtype)
-    acc_uu = np.zeros((width, width), dtype=lower.dtype)
-    for start in range(0, n, block_rows):
-        stop = start + block_rows
-        lower_block = lower[start:stop]
-        upper_block = upper[start:stop]
-        acc_ll += matmul(lower_block.T, lower_block)
-        acc_cross += matmul(lower_block.T, upper_block)
-        acc_uu += matmul(upper_block.T, upper_block)
-    candidates = (acc_ll, acc_cross, acc_cross.T, acc_uu)
-    return np.minimum.reduce(candidates), np.maximum.reduce(candidates)
+    # (LᵀU = (UᵀL)ᵀ — same summand products, reassociated), so compute one
+    # and transpose it: 3 products instead of 4.
+    lower_t = m.lower.T.tocsr()
+    upper_t = m.upper.T.tocsr()
+    cross = (lower_t @ m.upper).toarray()
+    stacked = np.stack([
+        (lower_t @ m.lower).toarray(),
+        cross,
+        cross.T,
+        (upper_t @ m.upper).toarray(),
+    ])
+    return stacked.min(axis=0), stacked.max(axis=0)
 
 
 # --------------------------------------------------------------------------- #
 # exact — sign-class decomposition of the interval hull
 # --------------------------------------------------------------------------- #
-def _exact_product(a: IntervalMatrix, b: IntervalMatrix, matmul: Callable,
-                   mixed_chunk_elements: Optional[int] = None,
-                   ) -> Tuple[np.ndarray, np.ndarray]:
+def _exact_product(a: IntervalMatrix, b: IntervalMatrix,
+                   matmul: Callable) -> Tuple[np.ndarray, np.ndarray]:
     # The hull needs per-summand case analysis, so 1-D operands are promoted
     # to matrices and the result squeezed back to numpy.matmul's shape.
     al, au = np.atleast_2d(a.lower), np.atleast_2d(a.upper)
@@ -475,15 +379,13 @@ def _exact_product(a: IntervalMatrix, b: IntervalMatrix, matmul: Callable,
     # min/max of two products — [min(al*bu, au*bl), max(al*bl, au*bu)] — and
     # cannot be expressed with a constant number of matmuls.  Entries outside
     # the mixed classes are zeroed, so their min/max contributions vanish and
-    # no boolean masking is needed inside the chunk loop.  The chunk bound is
-    # tunable: ``mixed_chunk_elements`` keyword, else REPRO_MIXED_CHUNK_ELEMENTS.
+    # no boolean masking is needed inside the chunk loop.
     if a_has_mixed and b_mix.any():
         bm_l = np.where(b_mix, bl, 0.0)
         bm_u = np.where(b_mix, bu, 0.0)
         columns = np.flatnonzero(a_mix.any(axis=0) & b_mix.any(axis=1))
         n, p = al.shape[0], bl.shape[1]
-        chunk = resolve_mixed_chunk_elements(mixed_chunk_elements)
-        step = max(1, int(chunk // max(1, n * p)))
+        step = max(1, int(_MIXED_CHUNK_ELEMENTS // max(1, n * p)))
         for start in range(0, columns.size, step):
             j = columns[start:start + step]
             a_lo = am_l[:, j][:, :, np.newaxis]
@@ -503,9 +405,8 @@ def _exact_product(a: IntervalMatrix, b: IntervalMatrix, matmul: Callable,
 # --------------------------------------------------------------------------- #
 # rump — midpoint-radius fast enclosure (Rump 1999)
 # --------------------------------------------------------------------------- #
-def _rump_product(a: IntervalMatrix, b: IntervalMatrix, matmul: Callable,
-                  mixed_chunk_elements: Optional[int] = None,
-                  ) -> Tuple[np.ndarray, np.ndarray]:
+def _rump_product(a: IntervalMatrix, b: IntervalMatrix,
+                  matmul: Callable) -> Tuple[np.ndarray, np.ndarray]:
     a_center, a_radius = a.midpoint(), a.radius()
     b_center, b_radius = b.midpoint(), b.radius()
     center = matmul(a_center, b_center)
@@ -535,57 +436,38 @@ def _rump_sparse_product(a, b) -> Tuple[np.ndarray, np.ndarray]:
     return center - radius, center + radius
 
 
-def _rump_gram(m, matmul: Callable,
-               block_rows: Optional[int]) -> Tuple[np.ndarray, np.ndarray]:
-    """Gram-product specialization of ``rump``: sparse input, row blocking."""
-    if is_sparse_interval(m):
-        center, radius = m.midpoint(), m.radius()
-        center_t = center.T.tocsr()
-        radius_t = radius.T.tocsr()
-        gram_center = (center_t @ center).toarray()
-        gram_radius = (abs(center_t) @ radius).toarray() + (
-            radius_t @ (abs(center) + radius)).toarray()
-        return gram_center - gram_radius, gram_center + gram_radius
-    n = m.lower.shape[0]
-    if block_rows is None or block_rows >= n:
-        return _rump_product(m.T, m, matmul)
-    if block_rows < 1:
-        raise IntervalError(f"block_rows must be >= 1, got {block_rows}")
-    width = m.lower.shape[1]
-    gram_center = np.zeros((width, width), dtype=m.lower.dtype)
-    gram_radius = np.zeros((width, width), dtype=m.lower.dtype)
+def _rump_sparse_gram(m) -> Tuple[np.ndarray, np.ndarray]:
+    """Gram product of a sparse operand under ``rump``, in sparse BLAS."""
     center, radius = m.midpoint(), m.radius()
-    for start in range(0, n, block_rows):
-        stop = start + block_rows
-        center_block = center[start:stop]
-        radius_block = radius[start:stop]
-        abs_center = np.abs(center_block)
-        gram_center += matmul(center_block.T, center_block)
-        gram_radius += matmul(abs_center.T, radius_block) + matmul(
-            radius_block.T, abs_center + radius_block)
+    center_t = center.T.tocsr()
+    radius_t = radius.T.tocsr()
+    gram_center = (center_t @ center).toarray()
+    gram_radius = (abs(center_t) @ radius).toarray() + (
+        radius_t @ (abs(center) + radius)).toarray()
     return gram_center - gram_radius, gram_center + gram_radius
 
 
-register_kernel(KernelInfo(
-    key="endpoint4",
-    summary="paper's four-endpoint-product min/max (Alg. 1); unsound on mixed signs",
-    sound=False, tight=False, paper_faithful=True, cost="4 blas", sparse=True,
-    _product=_endpoint4_product,
-    _sparse_product=_endpoint4_sparse_product,
-    _gram=_endpoint4_gram,
-))
-register_kernel(KernelInfo(
-    key="exact",
-    summary="sign-class-decomposed interval hull; tightest, O(nmp) on mixed x mixed",
-    sound=True, tight=True, paper_faithful=False, cost="12 blas + O(nmp) mixed",
-    sparse=False,
-    _product=_exact_product,
-))
-register_kernel(KernelInfo(
-    key="rump",
-    summary="midpoint-radius enclosure (Rump); sound, 3 blas, slightly wider",
-    sound=True, tight=False, paper_faithful=False, cost="3 blas", sparse=True,
-    _product=_rump_product,
-    _sparse_product=_rump_sparse_product,
-    _gram=_rump_gram,
-))
+_KERNELS: Dict[str, KernelInfo] = {info.key: info for info in (
+    KernelInfo(
+        key="endpoint4",
+        summary="paper's four-endpoint-product min/max (Alg. 1); unsound on mixed signs",
+        sound=False, tight=False, paper_faithful=True, cost="4 blas",
+        _product=_endpoint4_product,
+        _sparse_product=_endpoint4_sparse_product,
+        _sparse_gram=_endpoint4_sparse_gram,
+    ),
+    KernelInfo(
+        key="exact",
+        summary="sign-class-decomposed interval hull; tightest, O(nmp) on mixed x mixed",
+        sound=True, tight=True, paper_faithful=False, cost="12 blas + O(nmp) mixed",
+        _product=_exact_product,
+    ),
+    KernelInfo(
+        key="rump",
+        summary="midpoint-radius enclosure (Rump); sound, 3 blas, slightly wider",
+        sound=True, tight=False, paper_faithful=False, cost="3 blas",
+        _product=_rump_product,
+        _sparse_product=_rump_sparse_product,
+        _sparse_gram=_rump_sparse_gram,
+    ),
+)}

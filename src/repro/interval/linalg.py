@@ -14,7 +14,7 @@ guarded (pseudo-)inverse used by ISVD3/ISVD4 (Section 4.4.2.2).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,7 +36,6 @@ DEFAULT_CONDITION_THRESHOLD = 1e8
 
 def interval_matmul(a: MatrixLike, b: MatrixLike, matmul=None,
                     kernel: KernelLike = None,
-                    mixed_chunk_elements: Optional[int] = None,
                     ) -> Union[IntervalMatrix, SparseIntervalMatrix]:
     """Interval-valued matrix product ``a @ b`` (supplementary Algorithm 1).
 
@@ -56,9 +55,7 @@ def interval_matmul(a: MatrixLike, b: MatrixLike, matmul=None,
     ``kernel`` selects the interval-product kernel from
     :mod:`repro.interval.kernels` (a key or a
     :class:`~repro.interval.kernels.KernelInfo`): ``"endpoint4"`` (default),
-    ``"exact"``, or ``"rump"``.  ``mixed_chunk_elements`` tunes the ``exact``
-    kernel's mixed x mixed chunk size (default: the
-    ``REPRO_MIXED_CHUNK_ELEMENTS`` environment variable, else ~4M elements).
+    ``"exact"``, or ``"rump"``.
 
     Notes
     -----
@@ -82,38 +79,29 @@ def interval_matmul(a: MatrixLike, b: MatrixLike, matmul=None,
         raise IntervalError(
             f"incompatible shapes for interval matmul: {a.shape} @ {b.shape}"
         )
-    lower, upper = get_kernel(kernel).product(
-        a, b, matmul=matmul, mixed_chunk_elements=mixed_chunk_elements)
+    lower, upper = get_kernel(kernel).product(a, b, matmul=matmul)
     if sp.issparse(lower) and sp.issparse(upper):
         return SparseIntervalMatrix(lower, upper, check=False)
     return IntervalMatrix(lower, upper, check=False)
 
 
-def interval_gram(matrix: MatrixLike, kernel: KernelLike = None, matmul=None,
-                  block_rows: Optional[int] = None) -> IntervalMatrix:
+def interval_gram(matrix: MatrixLike, kernel: KernelLike = None) -> IntervalMatrix:
     """Dense interval Gram matrix ``matrix.T @ matrix`` (the ISVD2/3/4 step).
 
     The result is always a dense ``m x m`` :class:`IntervalMatrix` (the
-    eigen-decomposition that consumes it needs dense endpoint arrays), but
-    the *computation* adapts to the input:
-
-    * a :class:`~repro.interval.sparse.SparseIntervalMatrix` runs its
-      endpoint products through scipy's sparse BLAS — the ``n x m`` input is
-      never densified, so an ``n`` of 100k rows at 1% density costs megabytes
-      and milliseconds instead of gigabytes and minutes;
-    * a dense matrix with ``block_rows`` set accumulates each endpoint
-      product over row chunks, bounding the live temporaries to four
-      ``m x m`` accumulators plus one chunk (see
-      :meth:`~repro.interval.kernels.KernelInfo.gram`).
-
-    With ``block_rows=None`` and a dense input this is byte-identical to
-    ``interval_matmul(matrix.T, matrix, kernel=kernel)``.
+    eigen-decomposition that consumes it needs dense endpoint arrays).  A
+    dense input runs the kernel's one product, so the result is
+    ``interval_matmul(matrix.T, matrix, kernel=kernel)`` byte for byte.  A
+    :class:`~repro.interval.sparse.SparseIntervalMatrix` runs its endpoint
+    products through scipy's sparse BLAS — the ``n x m`` input is never
+    densified, so an ``n`` of 100k rows at 1% density costs megabytes and
+    milliseconds instead of gigabytes and minutes (``exact`` has no sparse
+    execution and raises).
     """
     matrix = as_interval_operand(matrix)
     if matrix.ndim != 2:
         raise IntervalError("interval_gram expects a 2-D interval matrix")
-    lower, upper = get_kernel(kernel).gram(matrix, matmul=matmul,
-                                           block_rows=block_rows)
+    lower, upper = get_kernel(kernel).gram(matrix)
     return IntervalMatrix(np.asarray(lower), np.asarray(upper), check=False)
 
 

@@ -61,7 +61,9 @@ class ModelRecord:
     ``shards`` is ``None`` for the single-file format and the shard count for
     models published by
     :class:`~repro.serve.shard.ShardedModelStore` — whose factors live in
-    ``<name>.shard-NN.npz`` row-range archives instead of ``<name>.npz``.
+    ``<name>.shard-NN-<gen>.npz`` row-range archives instead of
+    ``<name>.npz`` (``<name>.shard-NN.npz`` in the legacy unversioned
+    layout).
     ``generation`` is the publish generation of a sharded model: publishes
     since the hitless-reshard release write their archives to
     generation-versioned paths (``<name>.shard-NN-<gen>.npz``) and bump the
@@ -289,7 +291,9 @@ class ModelStore:
     def exists(self, name: str) -> bool:
         """True when a complete model (metadata + every factor archive) is
         published — ``<name>.npz`` for single-file models, all
-        ``<name>.shard-NN.npz`` row-range archives for sharded ones."""
+        ``<name>.shard-NN-<gen>.npz`` row-range archives of the recorded
+        generation for sharded ones (``<name>.shard-NN.npz`` in the legacy
+        unversioned layout)."""
         self._check_name(name)
         if not self._meta_path(name).exists():
             return False

@@ -96,20 +96,6 @@ class TestMemberContainment:
             reference = member.T @ member
             _assert_contains(gram, reference, reference)
 
-    # `exact` has no blocked gram path, so `rump` is the only sound kernel
-    # with one.
-    @settings(**COMMON_SETTINGS)
-    @given(matrix_params)
-    def test_float32_blocked_gram_contains_member_grams(self, params):
-        matrix = random_matrix(params, dtype=np.float32)
-        gram = interval_gram(matrix, kernel="rump", block_rows=3)
-        assert gram.dtype == np.float32
-        rng = np.random.default_rng(params[-1] + 2)
-        for _ in range(4):
-            member = rng.uniform(matrix.lower, matrix.upper)
-            reference = member.T @ member
-            _assert_contains(gram, reference, reference)
-
 
 class TestSparseEnclosure:
     @settings(**COMMON_SETTINGS)

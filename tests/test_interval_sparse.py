@@ -213,46 +213,18 @@ class TestSparseDenseParity:
         assert not by_key["exact"].sparse
 
 
-class TestBlockedGram:
-    @settings(**COMMON_SETTINGS)
-    @given(pair_params, st.sampled_from(SPARSE_KERNELS),
-           st.integers(1, 9))
-    def test_blocked_equals_unblocked_bit_for_bit_on_integer_data(
-            self, params, kernel, block_rows):
-        dense, _ = _pair(params)
-        reference = interval_gram(dense, kernel=kernel)
-        blocked = interval_gram(dense, kernel=kernel, block_rows=block_rows)
-        assert _bytes_equal(blocked, reference)
-
-    @pytest.mark.parametrize("kernel", SPARSE_KERNELS)
-    @pytest.mark.parametrize("block_rows", [1, 3, 16, 37, 1000])
-    def test_blocked_matches_unblocked_on_floats(self, kernel, block_rows):
-        matrix = random_interval_matrix((37, 9), interval_density=1.0,
-                                        interval_intensity=1.0, rng=11)
-        reference = interval_gram(matrix, kernel=kernel)
-        blocked = interval_gram(matrix, kernel=kernel, block_rows=block_rows)
-        assert blocked.allclose(reference, atol=1e-10, rtol=1e-12)
-
-    def test_unblocked_gram_is_byte_identical_to_matmul(self):
+class TestDenseGram:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_gram_is_byte_identical_to_matmul(self, dtype):
         matrix = random_interval_matrix((20, 8), interval_density=1.0,
-                                        interval_intensity=0.8, rng=3)
+                                        interval_intensity=0.8,
+                                        rng=3).astype(dtype)
         for kernel in available_kernels():
             product = interval_matmul(matrix.T, matrix, kernel=kernel)
             gram = interval_gram(matrix, kernel=kernel)
+            assert gram.dtype == dtype
             assert gram.lower.tobytes() == product.lower.tobytes()
             assert gram.upper.tobytes() == product.upper.tobytes()
-
-    def test_exact_kernel_rejects_block_rows(self):
-        matrix = random_interval_matrix((6, 4), interval_density=1.0,
-                                        interval_intensity=0.5, rng=1)
-        with pytest.raises(IntervalError, match="no blocked gram"):
-            interval_gram(matrix, kernel="exact", block_rows=2)
-
-    def test_invalid_block_rows_raises(self):
-        matrix = random_interval_matrix((6, 4), interval_density=1.0,
-                                        interval_intensity=0.5, rng=1)
-        with pytest.raises(IntervalError, match="block_rows"):
-            interval_gram(matrix, block_rows=0)
 
 
 class TestSparseISVD:
@@ -276,12 +248,6 @@ class TestSparseISVD:
         result = isvd(sparse, 3, method=method, target=target)
         assert np.asarray(result.u_scalar()).tobytes() == \
             np.asarray(reference.u_scalar()).tobytes()
-
-    def test_gram_block_rows_threads_through_isvd(self):
-        dense = integer_interval_matrix(np.random.default_rng(10), 25, 7, 0.6)
-        reference = isvd(dense, 3, method="isvd4", target="a")
-        blocked = isvd(dense, 3, method="isvd4", target="a", gram_block_rows=6)
-        assert blocked.u.allclose(reference.u, atol=0.0, rtol=0.0)
 
     def test_registry_densifies_for_non_sparse_aware_methods(self):
         from repro.core import registry

@@ -7,9 +7,9 @@
 * the vectorized K-means centroid update (one membership matmul instead of a
   Python loop over clusters), pinned to the loop implementation's labels on
   fixed seeds;
-* the tunable ``exact``-kernel mixed-chunk bound (keyword +
-  ``REPRO_MIXED_CHUNK_ELEMENTS`` environment variable) and the skip of the
-  mixed-sign machinery for sign-consistent left operands.
+* the ``exact`` kernel's mixed x mixed chunk bound (the module constant
+  ``_MIXED_CHUNK_ELEMENTS``), which never changes the result bytes, and the
+  skip of the mixed-sign machinery for sign-consistent left operands.
 """
 
 import numpy as np
@@ -23,14 +23,10 @@ from repro.eval.knn import (
     pairwise_interval_distances,
     stack_references,
 )
+from repro.interval import kernels
 from repro.interval.array import IntervalMatrix
-from repro.interval.kernels import (
-    MIXED_CHUNK_ENV,
-    resolve_mixed_chunk_elements,
-)
 from repro.interval.linalg import interval_matmul
 from repro.interval.random import random_interval_matrix
-from repro.interval.scalar import IntervalError
 
 
 class TestReferenceStacking:
@@ -195,45 +191,22 @@ class TestVectorizedKMeans:
 class TestMixedChunkTuning:
     MIXED = IntervalMatrix(np.full((6, 7), -1.0), np.full((6, 7), 1.0))
 
-    def test_default_resolution(self, monkeypatch):
-        monkeypatch.delenv(MIXED_CHUNK_ENV, raising=False)
-        from repro.interval.kernels import _MIXED_CHUNK_ELEMENTS
-
-        assert resolve_mixed_chunk_elements() == _MIXED_CHUNK_ELEMENTS
-
-    def test_env_var_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(MIXED_CHUNK_ENV, "123")
-        assert resolve_mixed_chunk_elements() == 123
-
-    def test_keyword_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv(MIXED_CHUNK_ENV, "123")
-        assert resolve_mixed_chunk_elements(77) == 77
-
-    @pytest.mark.parametrize("bad", ["0", "-3", "two"])
-    def test_invalid_env_values_raise(self, monkeypatch, bad):
-        monkeypatch.setenv(MIXED_CHUNK_ENV, bad)
-        with pytest.raises(IntervalError):
-            resolve_mixed_chunk_elements()
-
     def test_chunk_size_does_not_change_exact_results(self, monkeypatch):
         b = IntervalMatrix(np.full((7, 5), -2.0), np.full((7, 5), 2.0))
         reference = interval_matmul(self.MIXED, b, kernel="exact")
         # Chunk of 1 element forces one column per iteration of the
         # correction loop; a huge chunk collapses it to a single pass.
         for chunk in (1, 10, 10**9):
-            result = interval_matmul(self.MIXED, b, kernel="exact",
-                                     mixed_chunk_elements=chunk)
+            monkeypatch.setattr(kernels, "_MIXED_CHUNK_ELEMENTS", chunk)
+            result = interval_matmul(self.MIXED, b, kernel="exact")
             assert result.lower.tobytes() == reference.lower.tobytes()
             assert result.upper.tobytes() == reference.upper.tobytes()
-        monkeypatch.setenv(MIXED_CHUNK_ENV, "2")
-        via_env = interval_matmul(self.MIXED, b, kernel="exact")
-        assert via_env.lower.tobytes() == reference.lower.tobytes()
 
     def test_sign_consistent_left_operand_skips_mixed_machinery(self, monkeypatch):
         # A tiny chunk bound would make the mixed x mixed loop astronomically
         # slow if it ran; with a sign-consistent left operand it must not run
         # at all, so this stays instant and correct.
-        monkeypatch.setenv(MIXED_CHUNK_ENV, "1")
+        monkeypatch.setattr(kernels, "_MIXED_CHUNK_ELEMENTS", 1)
         rng = np.random.default_rng(3)
         a_lo = rng.random((5, 6)) + 0.5
         a = IntervalMatrix(a_lo, a_lo + rng.random((5, 6)))
