@@ -9,9 +9,9 @@ The load-bearing facts checked here:
   dense execution **bit for bit** on integer-valued operands (where every
   product and partial sum is exactly representable, so any byte difference
   is a structural bug, not floating-point reassociation);
-* the blocked dense Gram accumulation is equivalent to the unblocked product
-  across block sizes (bitwise on integer data, to tight tolerance on floats),
-  and the unblocked default stays byte-identical to ``interval_matmul``;
+* a dense Gram is byte-identical to ``interval_matmul(m.T, m)`` for every
+  kernel, dtype and row count, and a kernel's ``sparse`` flag says exactly
+  whether it runs sparse operands;
 * sparse input threads end to end: isvd2/3/4, the registry (densifying
   fallback for non-sparse-aware methods), the experiment engine's cache
   fingerprints, NPZ round-trips, the sparse ratings generators, fold-in with
@@ -212,6 +212,18 @@ class TestSparseDenseParity:
         assert by_key["rump"].sparse
         assert not by_key["exact"].sparse
 
+    @pytest.mark.parametrize("kernel", available_kernels())
+    def test_sparse_flag_matches_sparse_execution(self, kernel):
+        dense, sparse = _pair((5, 4, 2, 0.5))
+        if get_kernel(kernel).sparse:
+            assert _bytes_equal(interval_gram(sparse, kernel=kernel),
+                                interval_gram(dense, kernel=kernel))
+            assert _bytes_equal(interval_matmul(sparse.T, dense, kernel=kernel),
+                                interval_matmul(dense.T, dense, kernel=kernel))
+        else:
+            with pytest.raises(IntervalError, match="no sparse execution"):
+                interval_gram(sparse, kernel=kernel)
+
 
 class TestDenseGram:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -225,6 +237,26 @@ class TestDenseGram:
             assert gram.dtype == dtype
             assert gram.lower.tobytes() == product.lower.tobytes()
             assert gram.upper.tobytes() == product.upper.tobytes()
+
+    @pytest.mark.parametrize("kernel", available_kernels())
+    @pytest.mark.parametrize("rows", [1, 3, 16, 37, 200])
+    def test_gram_is_byte_identical_to_matmul_on_mixed_signs(self, kernel, rows):
+        # Centred draws put every sign class (and so the exact kernel's
+        # mixed x mixed loop) in play; one row is the degenerate Gram.
+        rng = np.random.default_rng(rows)
+        lower = rng.normal(size=(rows, 9))
+        matrix = IntervalMatrix(lower, lower + rng.random((rows, 9)))
+        product = interval_matmul(matrix.T, matrix, kernel=kernel)
+        gram = interval_gram(matrix, kernel=kernel)
+        assert gram.lower.tobytes() == product.lower.tobytes()
+        assert gram.upper.tobytes() == product.upper.tobytes()
+
+    @settings(**COMMON_SETTINGS)
+    @given(pair_params, st.sampled_from(available_kernels()))
+    def test_gram_is_byte_identical_to_matmul_on_integer_data(self, params, kernel):
+        dense, _ = _pair(params)
+        product = interval_matmul(dense.T, dense, kernel=kernel)
+        assert _bytes_equal(interval_gram(dense, kernel=kernel), product)
 
 
 class TestSparseISVD:

@@ -15,6 +15,8 @@
 import numpy as np
 import pytest
 
+from strategies import brute_force_hull, random_interval_pair
+
 from repro.eval.kmeans import IntervalKMeans
 from repro.eval import knn
 from repro.eval.knn import (
@@ -191,16 +193,26 @@ class TestVectorizedKMeans:
 class TestMixedChunkTuning:
     MIXED = IntervalMatrix(np.full((6, 7), -1.0), np.full((6, 7), 1.0))
 
-    def test_chunk_size_does_not_change_exact_results(self, monkeypatch):
+    # Chunk of 1 element forces one column per iteration of the correction
+    # loop; a huge chunk collapses it to a single pass.
+    @pytest.mark.parametrize("chunk", [1, 10, 10**9])
+    def test_chunk_size_does_not_change_exact_results(self, monkeypatch, chunk):
         b = IntervalMatrix(np.full((7, 5), -2.0), np.full((7, 5), 2.0))
         reference = interval_matmul(self.MIXED, b, kernel="exact")
-        # Chunk of 1 element forces one column per iteration of the
-        # correction loop; a huge chunk collapses it to a single pass.
-        for chunk in (1, 10, 10**9):
-            monkeypatch.setattr(kernels, "_MIXED_CHUNK_ELEMENTS", chunk)
-            result = interval_matmul(self.MIXED, b, kernel="exact")
-            assert result.lower.tobytes() == reference.lower.tobytes()
-            assert result.upper.tobytes() == reference.upper.tobytes()
+        monkeypatch.setattr(kernels, "_MIXED_CHUNK_ELEMENTS", chunk)
+        result = interval_matmul(self.MIXED, b, kernel="exact")
+        assert result.lower.tobytes() == reference.lower.tobytes()
+        assert result.upper.tobytes() == reference.upper.tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 10, 10**9])
+    def test_exact_is_the_vertex_hull_at_any_chunk_size(self, monkeypatch, chunk):
+        monkeypatch.setattr(kernels, "_MIXED_CHUNK_ELEMENTS", chunk)
+        for seed in range(4):
+            a, b, _ = random_interval_pair((2, 3, 2, seed))
+            lower, upper = brute_force_hull(a, b)
+            result = interval_matmul(a, b, kernel="exact")
+            np.testing.assert_allclose(result.lower, lower, atol=1e-10)
+            np.testing.assert_allclose(result.upper, upper, atol=1e-10)
 
     def test_sign_consistent_left_operand_skips_mixed_machinery(self, monkeypatch):
         # A tiny chunk bound would make the mixed x mixed loop astronomically
