@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 class AlignmentError(ValueError):
@@ -154,6 +153,10 @@ def _greedy_mapping(preference: np.ndarray) -> np.ndarray:
 
 def _hungarian_mapping(preference: np.ndarray) -> np.ndarray:
     """Optimal assignment maximizing the total preference (Problem 2)."""
+    # Imported here: scipy.optimize is the costliest import of the package,
+    # and a process that serves a published model never aligns.
+    from scipy.optimize import linear_sum_assignment
+
     row_ind, col_ind = linear_sum_assignment(-preference)
     mapping = np.empty(preference.shape[0], dtype=int)
     # row_ind[k] is a min-side column paired with max-side column col_ind[k].

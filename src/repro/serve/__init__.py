@@ -44,81 +44,45 @@ The subsystem has seven layers, each usable on its own (see
   exhaust executor threads.
 """
 
-from repro.serve.async_http import AsyncServingServer, create_server
-from repro.serve.batching import MicroBatcher
-from repro.serve.foldin import FoldInProjector
-from repro.serve.http import ServingApp
-from repro.serve.protocol import (
-    ProtocolError,
-    decode_frame,
-    encode_frame,
-    read_frame,
-    write_frame,
-)
-from repro.serve.query import QueryEngine, TopKResult, top_k, top_k_from_candidates
-from repro.serve.shard import (
-    ShardedModelStore,
-    ShardedQueryEngine,
-    ShardManifest,
-    ShardPlanner,
-    merge_shards,
-    plan_row_ranges,
-    usable_cpu_count,
-)
-from repro.serve.faults import FaultInjected, FaultPlan, FaultSpecError
-from repro.serve.resilience import (
-    CircuitBreaker,
-    Deadline,
-    DeadlineExceededError,
-    RetryPolicy,
-    ShardUnavailableError,
-    WorkerError,
-    WorkerRequestError,
-    collect_missing_shards,
-    current_deadline,
-    deadline_scope,
-)
-from repro.serve.store import ModelRecord, ModelStore, ModelStoreError
-from repro.serve.worker import ShardWorkerSupervisor, WorkerShardedQueryEngine
+import importlib
 
-__all__ = [
-    "AsyncServingServer",
-    "CircuitBreaker",
-    "Deadline",
-    "DeadlineExceededError",
-    "FaultInjected",
-    "FaultPlan",
-    "FaultSpecError",
-    "FoldInProjector",
-    "MicroBatcher",
-    "ModelRecord",
-    "ModelStore",
-    "ModelStoreError",
-    "ProtocolError",
-    "QueryEngine",
-    "RetryPolicy",
-    "ServingApp",
-    "ShardManifest",
-    "ShardPlanner",
-    "ShardUnavailableError",
-    "ShardWorkerSupervisor",
-    "ShardedModelStore",
-    "ShardedQueryEngine",
-    "TopKResult",
-    "WorkerError",
-    "WorkerRequestError",
-    "WorkerShardedQueryEngine",
-    "collect_missing_shards",
-    "create_server",
-    "current_deadline",
-    "deadline_scope",
-    "decode_frame",
-    "encode_frame",
-    "merge_shards",
-    "plan_row_ranges",
-    "read_frame",
-    "top_k",
-    "top_k_from_candidates",
-    "usable_cpu_count",
-    "write_frame",
-]
+# Exported names resolve on first access (PEP 562), so importing one
+# submodule does not pull in the rest: a shard worker never loads the HTTP
+# front end, asyncio or the micro-batcher.  No name below is also the name
+# of a submodule, so an imported submodule can never shadow an export.
+_EXPORTS = {
+    "async_http": ("AsyncServingServer", "create_server"),
+    "batching": ("MicroBatcher",),
+    "faults": ("FaultInjected", "FaultPlan", "FaultSpecError"),
+    "foldin": ("FoldInProjector",),
+    "http": ("ServingApp",),
+    "protocol": ("ProtocolError", "decode_frame", "encode_frame",
+                 "read_frame", "write_frame"),
+    "query": ("QueryEngine", "TopKResult", "top_k", "top_k_from_candidates"),
+    "resilience": ("CircuitBreaker", "Deadline", "DeadlineExceededError",
+                   "RetryPolicy", "ShardUnavailableError", "WorkerError",
+                   "WorkerRequestError", "collect_missing_shards",
+                   "current_deadline", "deadline_scope"),
+    "shard": ("ShardedModelStore", "ShardedQueryEngine", "ShardManifest",
+              "ShardPlanner", "merge_shards", "plan_row_ranges",
+              "usable_cpu_count"),
+    "store": ("ModelRecord", "ModelStore", "ModelStoreError"),
+    "worker": ("ShardWorkerSupervisor", "WorkerShardedQueryEngine"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -59,7 +59,7 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures import wait as wait_futures
 from pathlib import Path
@@ -135,7 +135,8 @@ SPAWN_TIMEOUT = 60.0
 #: round-trip with a worker may take before the worker counts as stalled.
 CALL_TIMEOUT = 30.0
 
-logger = logging.getLogger(__name__)
+# Named, not __name__: a spawned worker runs this module as __main__.
+logger = logging.getLogger("repro.serve.worker")
 
 
 def _generation_token(generation: Optional[int]) -> str:
@@ -357,12 +358,13 @@ class WorkerHandle:
 class ShardWorkerSupervisor:
     """Spawns, health-checks, restarts and reaps one worker per shard.
 
-    Workers connect back over localhost TCP and authenticate with a
-    per-supervisor random token, so another local process cannot slip a
-    rogue worker into the accept window.  A background monitor respawns
-    workers that exit unexpectedly; :meth:`call` retries a failed request
-    under ``retry`` (bounded exponential backoff with jitter), restarting
-    the worker between attempts, inside the caller's deadline.
+    Each spawn listens on its own localhost port; its worker connects back
+    and authenticates with a per-supervisor random token, so another local
+    process cannot slip a rogue worker into the accept window.  A
+    background monitor respawns workers that exit unexpectedly;
+    :meth:`call` retries a failed request under ``retry`` (bounded
+    exponential backoff with jitter), restarting the worker between
+    attempts, inside the caller's deadline.
 
     Every observed worker death is charged to that shard's
     :class:`~repro.serve.resilience.CircuitBreaker`; a crash-looping shard
@@ -408,13 +410,6 @@ class ShardWorkerSupervisor:
         self.retry = retry if retry is not None else RetryPolicy()
         self.faults = faults
         self._token = secrets.token_hex(16)
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.bind(("127.0.0.1", 0))
-        self._listener.listen(manifest.record.shards)
-        self._port = self._listener.getsockname()[1]
-        #: Serializes spawn + connect-back accept: concurrent restarts must
-        #: not interleave their accepts and adopt each other's workers.
-        self._spawn_lock = threading.Lock()
         n_shards = manifest.record.shards
         self._handles: List[Optional[WorkerHandle]] = [None] * n_shards
         self._restarts = [0] * n_shards
@@ -439,7 +434,11 @@ class ShardWorkerSupervisor:
         return self.manifest.record.shards
 
     def start(self) -> None:
-        """Spawn every worker and start the health monitor.
+        """Spawn every worker, concurrently, and start the health monitor.
+
+        The fleet starts in the time of its slowest worker, not the sum of
+        all of them.  If any spawn fails, every worker already spawned is
+        reaped and the error of the lowest failed shard is raised.
 
         Refuses to *start* against a superseded manifest (a reshard landed
         between planning and start): a fresh fleet must serve the current
@@ -455,27 +454,62 @@ class ShardWorkerSupervisor:
                 f"generation {self.manifest.record.generation} (the store "
                 f"now serves generation {current})"
             )
-        for shard in range(self.n_shards):
-            self._handles[shard] = self._spawn(shard)
+        with ThreadPoolExecutor(max_workers=self.n_shards,
+                                thread_name_prefix="repro-worker-spawn") as pool:
+            spawns = [pool.submit(self._spawn, shard)
+                      for shard in range(self.n_shards)]
+        errors = [spawn.exception() for spawn in spawns
+                  if spawn.exception() is not None]
+        if errors:
+            for spawn in spawns:
+                if spawn.exception() is None:
+                    spawn.result().reap()
+            raise errors[0]
+        self._handles = [spawn.result() for spawn in spawns]
         self._monitor = threading.Thread(target=self._monitor_loop,
                                          name="repro-worker-monitor",
                                          daemon=True)
         self._monitor.start()
 
     def _spawn(self, shard: int) -> WorkerHandle:
-        # Import the entry point rather than `-m repro.serve.worker`: the
-        # package __init__ already imports this module, so runpy would
-        # re-execute it and warn about the duplicate in sys.modules.
+        """Start one shard's worker and accept its connect-back.
+
+        Each spawn listens on its own localhost port, so spawns of
+        different shards never wait on each other or adopt each other's
+        workers.
+        """
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+            process = self._launch(shard, listener.getsockname()[1])
+            try:
+                handle = self._accept(shard, process, listener)
+            except Exception:
+                process.terminate()
+                try:
+                    process.wait(timeout=2.0)
+                except subprocess.TimeoutExpired:  # pragma: no cover
+                    process.kill()
+                    process.wait()
+                raise
+        finally:
+            listener.close()
+        logger.info("spawned worker for shard %d of %r (pid %d, generation %s)",
+                    shard, self.name, handle.pid,
+                    _generation_token(self.manifest.record.generation))
+        return handle
+
+    def _launch(self, shard: int, port: int) -> subprocess.Popen:
+        """Start the worker process that connects back to ``port``."""
         command = [
-            sys.executable, "-c",
-            "import sys; from repro.serve.worker import worker_main; "
-            "sys.exit(worker_main(sys.argv[1:]))",
+            sys.executable, "-m", "repro.serve.worker",
             "--store", str(self.directory),
             "--model", self.name,
             "--shard", str(shard),
             "--generation",
             _generation_token(self.manifest.record.generation),
-            "--connect-port", str(self._port),
+            "--connect-port", str(port),
             "--kernel", self.kernel_key,
             "--dtype", self.dtype,
         ]
@@ -491,25 +525,11 @@ class ShardWorkerSupervisor:
         if package_root not in existing.split(os.pathsep):
             environment["PYTHONPATH"] = (
                 package_root + (os.pathsep + existing if existing else ""))
-        with self._spawn_lock:
-            process = subprocess.Popen(command, env=environment,
-                                       stdin=subprocess.DEVNULL)
-            try:
-                handle = self._accept(shard, process)
-            except Exception:
-                process.terminate()
-                try:
-                    process.wait(timeout=2.0)
-                except subprocess.TimeoutExpired:  # pragma: no cover
-                    process.kill()
-                    process.wait()
-                raise
-        logger.info("spawned worker for shard %d of %r (pid %d, generation %s)",
-                    shard, self.name, handle.pid,
-                    _generation_token(self.manifest.record.generation))
-        return handle
+        return subprocess.Popen(command, env=environment,
+                                stdin=subprocess.DEVNULL)
 
-    def _accept(self, shard: int, process: subprocess.Popen) -> WorkerHandle:
+    def _accept(self, shard: int, process: subprocess.Popen,
+                listener: socket.socket) -> WorkerHandle:
         """Accept the spawned worker's connect-back and validate its hello."""
         deadline = time.monotonic() + SPAWN_TIMEOUT
         while True:
@@ -529,15 +549,15 @@ class ShardWorkerSupervisor:
                     f"worker for shard {shard} of {self.name!r} exited with "
                     f"status {process.returncode} before connecting" + cause
                 )
-            self._listener.settimeout(min(remaining, 0.2))
+            listener.settimeout(min(remaining, 0.2))
             try:
-                connection, _ = self._listener.accept()
+                connection, _ = listener.accept()
             except socket.timeout:
                 continue
             connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             # Bound the hello read too: a peer that connects and then goes
             # silent (slow-accept fault, connect-scan) must not hold the
-            # spawn lock past the spawn deadline.
+            # spawn past the spawn deadline.
             connection.settimeout(max(deadline - time.monotonic(), 0.1))
             stream = connection.makefile("rwb")
             try:
@@ -870,13 +890,7 @@ class ShardWorkerSupervisor:
         # Future completes, so waiting first leaves that worker to the
         # reaping below instead of orphaning it.
         wait_futures(respawns)
-        with self._spawn_lock:
-            handles, self._handles = \
-                list(self._handles), [None] * self.n_shards
-            try:
-                self._listener.close()
-            except OSError:  # pragma: no cover
-                pass
+        handles, self._handles = list(self._handles), [None] * self.n_shards
         for handle in handles:
             if handle is not None:
                 handle.reap()

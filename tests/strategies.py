@@ -3,11 +3,11 @@
 One home for the generator idioms the property tiers kept reinventing:
 bounded float draws, random dense interval-matrix pairs, integer-valued
 sparse patterns, real-valued models with query rows and random row
-splits, the brute-force product hull, circuit-breaker parameters with
-fake-clock steps, and micro-batcher request groups — the matrix
-generators dtype-parametrized
-so the float32 precision tier (``tests/precision/``) exercises the exact
-same input families as the float64 property tests.
+splits, the brute-force product hull, circuit-breaker parameters with a
+fake clock and its steps, worker-supervisor shard counts and restart
+deadlines, and micro-batcher request groups — the matrix generators
+dtype-parametrized so the float32 precision tier (``tests/precision/``)
+exercises the exact same input families as the float64 property tests.
 
 Everything here is deterministic given its parameters: strategies draw
 *parameters* (shapes, seeds, densities) and the builders expand them with
@@ -94,6 +94,27 @@ breaker_params = st.tuples(
 
 #: Fake-clock steps (whole seconds) between circuit-breaker operations.
 clock_steps = st.integers(0, 8)
+
+
+class FakeClock:
+    """A monotonic clock that moves only when told to."""
+
+    def __init__(self, now: float = 1000.0):
+        self.now = now
+
+    def __call__(self) -> float:
+        return self.now
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
+
+
+#: Shard count of a worker supervisor under test.
+supervisor_shards = st.integers(1, 3)
+
+#: The deadline a restart waits under: none, already expired (the caller
+#: gives up at once and the respawn completes without it), or ample.
+restart_deadlines = st.sampled_from([None, 0.0, 30.0])
 
 #: (stored rows, items, rank, interval-valued factors, seed) for a
 #: real-valued decomposition.

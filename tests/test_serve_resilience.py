@@ -29,18 +29,7 @@ from repro.serve.resilience import (
     deadline_scope,
 )
 
-from strategies import breaker_params, clock_steps, common_settings
-
-
-class FakeClock:
-    def __init__(self, now: float = 1000.0):
-        self.now = now
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
+from strategies import FakeClock, breaker_params, clock_steps, common_settings
 
 
 class TestDeadline:

@@ -5,7 +5,8 @@ is shorter must get its :class:`DeadlineExceededError` without waiting for
 the spawn, the respawn it joined must still complete for the requests
 after it, every caller that finds the same worker dead must share one
 respawn, a respawn held up on one shard must not hold up another shard's,
-and closing the fleet mid-respawn must not orphan the new worker.
+and neither closing the fleet mid-respawn nor a failed fleet start may
+orphan a worker.
 """
 
 import os
@@ -80,19 +81,22 @@ def test_expired_restart_returns_before_the_respawn_it_joined(published):
         engine.close()
 
 
-def test_a_held_respawn_does_not_hold_up_another_shard(published):
+@pytest.mark.parametrize("held_at", ["_accept", "_probe"])
+def test_a_held_respawn_does_not_hold_up_another_shard(published, held_at):
+    """Shard 0's respawn is held before its hello (``_accept``, inside
+    ``_spawn``) or after it (``_probe``); shard 1's respawn completes."""
     store, _, _ = published
     engine = WorkerShardedQueryEngine(store, "m")
     supervisor = engine.supervisor
     gate = threading.Event()
-    probe = supervisor._probe
+    original = getattr(supervisor, held_at)
 
-    def gated_probe(handle):
-        if handle.shard == 0:  # shard 0's respawn waits here, spawned
+    def held(first, *args):
+        if getattr(first, "shard", first) == 0:  # a handle or a shard index
             assert gate.wait(timeout=60.0)
-        probe(handle)
+        return original(first, *args)
 
-    supervisor._probe = gated_probe
+    setattr(supervisor, held_at, held)
     try:
         failed0, failed1 = supervisor._handles
         _kill(failed0)
@@ -105,7 +109,7 @@ def test_a_held_respawn_does_not_hold_up_another_shard(published):
         replacement1 = supervisor._restart(1, failed1,
                                            deadline=Deadline.after(30.0))
         assert replacement1.alive()
-        assert supervisor._handles[0] is failed0  # still held at its probe
+        assert supervisor._handles[0] is failed0  # still held
         gate.set()
         replacement0 = supervisor._restart(0, failed0)
         assert replacement0.alive()
@@ -136,4 +140,20 @@ def test_close_during_a_respawn_leaves_no_worker(published):
     with pytest.raises(DeadlineExceededError):
         supervisor._restart(0, failed, deadline=Deadline.after(0.01))
     engine.close()  # the respawn is still in flight
+    assert _worker_pids(store.directory) == []
+
+
+@pytest.mark.skipif(not Path("/proc").is_dir(), reason="needs /proc")
+def test_a_failed_fleet_start_leaves_no_worker(tmp_path, small_interval_matrix):
+    """One shard's archive is gone under the pinned manifest: its worker
+    exits, the fleet start fails naming that shard, and the workers that
+    did start are reaped."""
+    decomposition = registry.get("isvd4").fit(small_interval_matrix, 4,
+                                              target="b")
+    store = ShardedModelStore(tmp_path / "models")
+    record = store.save_sharded("m", decomposition, 3,
+                                matrix=small_interval_matrix)
+    store._shard_path("m", 2, record.generation).unlink()
+    with pytest.raises(WorkerError, match="shard 2 of 'm'"):
+        WorkerShardedQueryEngine(store, "m")
     assert _worker_pids(store.directory) == []
