@@ -48,11 +48,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.interval.array import IntervalMatrix
 from repro.interval.scalar import IntervalError
-from repro.interval.sparse import is_sparse_interval
+from repro.interval.sparse import is_sparse_interval, issparse
 
 #: The paper's construction stays the default so reproduction outputs are
 #: byte-identical to the seed implementation.
@@ -95,6 +94,8 @@ def _operand_magnitude(operand):
     """Entrywise magnitude bound ``max(|lower|, |upper|)`` of an operand
     (sparse operands keep their pattern)."""
     if is_sparse_interval(operand):
+        import scipy.sparse as sp
+
         data = np.maximum(np.abs(operand.lower.data), np.abs(operand.upper.data))
         return sp.csr_array((data, operand.lower.indices, operand.lower.indptr),
                             shape=operand.shape)
@@ -107,11 +108,11 @@ def _inflate_product(lower, upper, a, b, matmul: Callable):
         return lower, upper
     magnitude = _operand_magnitude(a)
     mag_b = _operand_magnitude(b)
-    if sp.issparse(magnitude) or sp.issparse(mag_b):
+    if issparse(magnitude) or issparse(mag_b):
         magnitude = magnitude @ mag_b
     else:
         magnitude = matmul(magnitude, mag_b)
-    if sp.issparse(lower):
+    if issparse(lower):
         # Cells structurally absent from the magnitude product are exactly
         # [0, 0] (every summand has a structural zero), so padding only the
         # stored pattern is sound.
@@ -123,7 +124,7 @@ def _inflate_product(lower, upper, a, b, matmul: Callable):
         lower.data = np.nextafter(lower.data, np.float32(-np.inf))
         upper.data = np.nextafter(upper.data, np.float32(np.inf))
         return lower, upper
-    if sp.issparse(magnitude):
+    if issparse(magnitude):
         magnitude = magnitude.toarray()
     pad = enclosure_pad(magnitude, a.shape[-1], lower.dtype)
     return (np.nextafter(lower - pad, np.float32(-np.inf)),
@@ -292,7 +293,7 @@ def _endpoint4_sparse_product(a, b) -> Tuple[np.ndarray, np.ndarray]:
         a.upper @ b.lower,
         a.upper @ b.upper,
     )
-    if all(sp.issparse(product) for product in products):
+    if all(issparse(product) for product in products):
         first, *rest = products
         lower = upper = first
         for product in rest:
@@ -429,7 +430,7 @@ def _rump_sparse_product(a, b) -> Tuple[np.ndarray, np.ndarray]:
     b_center, b_radius = b.midpoint(), b.radius()
     center = a_center @ b_center
     radius = abs(a_center) @ b_radius + a_radius @ (abs(b_center) + b_radius)
-    if sp.issparse(center) and sp.issparse(radius):
+    if issparse(center) and issparse(radius):
         return (center - radius).tocsr(), (center + radius).tocsr()
     center = np.asarray(center)
     radius = np.asarray(radius)

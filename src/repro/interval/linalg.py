@@ -17,12 +17,11 @@ from __future__ import annotations
 from typing import Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.interval.array import IntervalMatrix
 from repro.interval.kernels import KernelLike, get_kernel
 from repro.interval.scalar import Interval, IntervalError
-from repro.interval.sparse import SparseIntervalMatrix, as_interval_operand
+from repro.interval.sparse import SparseIntervalMatrix, as_interval_operand, issparse
 
 MatrixLike = Union[IntervalMatrix, SparseIntervalMatrix, np.ndarray]
 
@@ -80,7 +79,7 @@ def interval_matmul(a: MatrixLike, b: MatrixLike, matmul=None,
             f"incompatible shapes for interval matmul: {a.shape} @ {b.shape}"
         )
     lower, upper = get_kernel(kernel).product(a, b, matmul=matmul)
-    if sp.issparse(lower) and sp.issparse(upper):
+    if issparse(lower) and issparse(upper):
         return SparseIntervalMatrix(lower, upper, check=False)
     return IntervalMatrix(lower, upper, check=False)
 

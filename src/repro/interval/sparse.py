@@ -20,17 +20,38 @@ Sparse execution lives in :mod:`repro.interval.kernels`: the ``endpoint4`` and
 computes the ISVD Gram step without ever densifying the input.  The ``exact``
 kernel has no sparse path — its mixed-sign correction is inherently dense — and
 raises rather than silently materializing the dense operands.
+
+``scipy.sparse`` is imported only when sparse data first appears: inside the
+functions that build CSR arrays (the constructors, and the casts and interval
+views, which rebuild arrays on the shared pattern).  The dense hot paths test
+operands with :func:`issparse`, which never imports scipy, so a process that
+only serves dense factors — a ``repro serve`` front end or a ``--workers``
+shard — loads no ``scipy`` module.
 """
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+import sys
+from typing import TYPE_CHECKING, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.interval.array import IntervalMatrix
 from repro.interval.scalar import IntervalError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
+
+def issparse(value) -> bool:
+    """``scipy.sparse.issparse`` without importing ``scipy.sparse``.
+
+    Exact: importing any ``scipy.sparse`` submodule imports the package
+    first, so no object can be a scipy sparse matrix/array before
+    ``scipy.sparse`` is in ``sys.modules``.
+    """
+    module = sys.modules.get("scipy.sparse")
+    return module is not None and module.issparse(value)
 
 
 def _endpoint_dtype(lower, upper) -> np.dtype:
@@ -60,6 +81,8 @@ def _unify_patterns(lower: "sp.csr_array",
     addition prunes numerically-zero results, so the union is built from the
     merged cell keys instead.
     """
+    import scipy.sparse as sp
+
     shape = lower.shape
     keys_lower = _row_keys(lower)
     keys_upper = _row_keys(upper)
@@ -104,6 +127,8 @@ class SparseIntervalMatrix:
     __slots__ = ("lower", "upper")
 
     def __init__(self, lower, upper, *, check: bool = True):
+        import scipy.sparse as sp
+
         dtype = _endpoint_dtype(lower, upper)
         lower = sp.csr_array(lower, dtype=dtype)
         upper = sp.csr_array(upper, dtype=dtype)
@@ -149,6 +174,8 @@ class SparseIntervalMatrix:
         conversion is lossless: ``from_dense(m).to_dense()`` reproduces ``m``
         byte for byte.
         """
+        import scipy.sparse as sp
+
         matrix = IntervalMatrix.coerce(matrix)
         if matrix.ndim != 2:
             raise IntervalError("from_dense expects a 2-D interval matrix")
@@ -167,6 +194,8 @@ class SparseIntervalMatrix:
     def from_coo(cls, rows, cols, lower_data, upper_data,
                  shape: Tuple[int, int], *, check: bool = True) -> "SparseIntervalMatrix":
         """Build from coordinate triplets (duplicates are summed per endpoint)."""
+        import scipy.sparse as sp
+
         rows = np.asarray(rows)
         cols = np.asarray(cols)
         dtype = _endpoint_dtype(np.asarray(lower_data), np.asarray(upper_data))
@@ -242,11 +271,8 @@ class SparseIntervalMatrix:
             upper_data = np.where(
                 upper_data.astype(self.upper.dtype) < self.upper.data,
                 np.nextafter(upper_data, dtype.type(np.inf)), upper_data)
-        lower = sp.csr_array((lower_data, self.lower.indices, self.lower.indptr),
-                             shape=self.shape)
-        upper = sp.csr_array((upper_data, self.lower.indices, self.lower.indptr),
-                             shape=self.shape)
-        return SparseIntervalMatrix(lower, upper, check=False)
+        return SparseIntervalMatrix(self._on_pattern(lower_data),
+                                    self._on_pattern(upper_data), check=False)
 
     def copy(self) -> "SparseIntervalMatrix":
         """Deep copy of both endpoint matrices."""
@@ -265,23 +291,24 @@ class SparseIntervalMatrix:
     # ------------------------------------------------------------------ #
     # Interval views
     # ------------------------------------------------------------------ #
+    def _on_pattern(self, data) -> "sp.csr_array":
+        """CSR array of per-cell ``data`` on the shared pattern."""
+        import scipy.sparse as sp
+
+        return sp.csr_array((data, self.lower.indices, self.lower.indptr),
+                            shape=self.shape)
+
     def midpoint(self) -> "sp.csr_array":
         """Sparse elementwise midpoints (same pattern as the endpoints)."""
-        return sp.csr_array((0.5 * (self.lower.data + self.upper.data),
-                             self.lower.indices, self.lower.indptr),
-                            shape=self.shape)
+        return self._on_pattern(0.5 * (self.lower.data + self.upper.data))
 
     def radius(self) -> "sp.csr_array":
         """Sparse elementwise radii (half spans)."""
-        return sp.csr_array((0.5 * (self.upper.data - self.lower.data),
-                             self.lower.indices, self.lower.indptr),
-                            shape=self.shape)
+        return self._on_pattern(0.5 * (self.upper.data - self.lower.data))
 
     def span(self) -> "sp.csr_array":
         """Sparse elementwise spans ``upper - lower``."""
-        return sp.csr_array((self.upper.data - self.lower.data,
-                             self.lower.indices, self.lower.indptr),
-                            shape=self.shape)
+        return self._on_pattern(self.upper.data - self.lower.data)
 
     def is_valid(self) -> bool:
         """True when every stored entry satisfies ``lower <= upper``."""

@@ -296,10 +296,10 @@ def load_interval_npz(path: PathLike) -> Union[IntervalMatrix, SparseIntervalMat
     the CSR fields written by :func:`save_interval_npz` and load back as a
     :class:`~repro.interval.sparse.SparseIntervalMatrix`.
     """
-    import scipy.sparse as sp
-
     with np.load(Path(path)) as archive:
         if "format" in archive and str(archive["format"]) == "csr":
+            import scipy.sparse as sp
+
             required = {"shape", "indptr", "indices", "lower_data", "upper_data"}
             if not required.issubset(set(archive.files)):
                 raise IntervalError(f"{path} is not a sparse interval archive")

@@ -15,7 +15,10 @@ The load-bearing facts checked here:
 * sparse input threads end to end: isvd2/3/4, the registry (densifying
   fallback for non-sparse-aware methods), the experiment engine's cache
   fingerprints, NPZ round-trips, the sparse ratings generators, fold-in with
-  observed-only least squares, and the CLI.
+  observed-only least squares, and the CLI;
+* ``scipy.sparse`` loads only when sparse data first appears: the
+  :func:`~repro.interval.sparse.issparse` guard never imports it, and dense
+  results are the same bytes whether or not it was loaded first.
 """
 
 import numpy as np
@@ -24,6 +27,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fresh_interpreter import run_json
 from strategies import (
     common_settings,
     integer_interval_matrix,
@@ -41,6 +45,7 @@ from repro.interval.sparse import (
     SparseIntervalMatrix,
     as_interval_operand,
     is_sparse_interval,
+    issparse,
 )
 
 COMMON_SETTINGS = common_settings(max_examples=25)
@@ -160,6 +165,82 @@ class TestConstruction:
         observed = sparse.row_pattern(1)
         expected = np.flatnonzero((dense.lower[1] != 0) | (dense.upper[1] != 0))
         np.testing.assert_array_equal(np.sort(observed), expected)
+
+
+#: Digests every dense and sparse product and gram of all kernels at both
+#: dtypes; ``SPARSE_FIRST`` picks the import order, and the first printed
+#: value says whether the dense half ran with ``scipy.sparse`` unloaded.
+_ORDER_DIGESTS = """
+import hashlib, json, sys
+import numpy as np
+if SPARSE_FIRST:
+    import scipy.sparse
+from repro.interval.kernels import available_kernels, get_kernel
+from repro.interval.linalg import interval_gram, interval_matmul
+from repro.interval.random import random_interval_matrix
+from repro.interval.sparse import SparseIntervalMatrix, is_sparse_interval
+
+def digest(result):
+    if is_sparse_interval(result):
+        result = result.to_dense()
+    return hashlib.sha256(result.lower.tobytes() + result.upper.tobytes()).hexdigest()
+
+operands = {}
+for dtype in ("float64", "float32"):
+    a, b = (random_interval_matrix(shape=shape, matrix_density=0.5,
+                                   value_range=(-1.0, 1.0),
+                                   rng=np.random.default_rng(seed)).astype(dtype)
+            for seed, shape in ((1, (40, 12)), (2, (12, 7))))
+    operands[dtype] = a, b
+digests = {}
+for dtype, (a, b) in operands.items():
+    for kernel in available_kernels():
+        digests[f"{kernel}/{dtype}/matmul"] = digest(interval_matmul(a, b, kernel=kernel))
+        digests[f"{kernel}/{dtype}/gram"] = digest(interval_gram(a, kernel=kernel))
+dense_ran_without_scipy = "scipy.sparse" not in sys.modules
+for dtype, (a, b) in operands.items():
+    sparse_a = SparseIntervalMatrix.from_dense(a)
+    sparse_b = SparseIntervalMatrix.from_dense(b)
+    for kernel in available_kernels():
+        if not get_kernel(kernel).sparse:
+            continue
+        for name, left, right in (("sparse@dense", sparse_a, b),
+                                  ("dense@sparse", a.T, sparse_a),
+                                  ("sparse@sparse", sparse_a, sparse_b)):
+            digests[f"{kernel}/{dtype}/{name}"] = digest(
+                interval_matmul(left, right, kernel=kernel))
+        digests[f"{kernel}/{dtype}/sparse-gram"] = digest(
+            interval_gram(sparse_a, kernel=kernel))
+print(json.dumps([dense_ran_without_scipy, digests]))
+"""
+
+
+class TestSparseGuard:
+    def test_dense_values_are_not_sparse_and_load_no_scipy(self):
+        answers, loaded = run_json(
+            "import json, sys\n"
+            "import numpy as np\n"
+            "from repro.interval.array import IntervalMatrix\n"
+            "from repro.interval.sparse import issparse\n"
+            "answers = [issparse(value) for value in\n"
+            "           (np.eye(2), IntervalMatrix.from_scalar(np.eye(2)), None)]\n"
+            "print(json.dumps([answers, 'scipy.sparse' in sys.modules]))\n")
+        assert answers == [False, False, False]
+        assert loaded is False
+
+    @pytest.mark.parametrize("build", [sp.csr_array, sp.csr_matrix, sp.coo_array],
+                             ids=lambda build: build.__name__)
+    def test_scipy_sparse_values_are_sparse(self, build):
+        assert issparse(build(np.eye(2)))
+
+    def test_results_do_not_depend_on_when_scipy_sparse_loads(self):
+        dense_first, lazy = run_json("SPARSE_FIRST = False\n" + _ORDER_DIGESTS)
+        sparse_first, eager = run_json("SPARSE_FIRST = True\n" + _ORDER_DIGESTS)
+        assert (dense_first, sparse_first) == (True, False)
+        # 3 kernels x 2 dtypes x (matmul, gram), plus 2 sparse kernels x
+        # 2 dtypes x (3 sparse products, sparse gram).
+        assert len(lazy) == 3 * 2 * 2 + 2 * 2 * 4
+        assert lazy == eager
 
 
 class TestSparseDenseParity:
