@@ -18,38 +18,25 @@ pretending the gate applies.
 Soundness is asserted in the same run: the float32 Gram must contain a
 float64-computed member Gram, so the speed being gated is the speed of a
 *sound* enclosure, not of a kernel that quietly dropped its inflation.
+
+The matrix, its dense subsample and the timed float64 sparse Gram are
+session fixtures of ``benchmarks/conftest.py``, shared with
+test_bench_sparse.py.
 """
 
 import time
 
 import numpy as np
 
-from repro.datasets.ratings import SPARSE_SCALE_PRESETS, make_sparse_rating_matrix
+from repro.datasets.ratings import SPARSE_SCALE_PRESETS
 from repro.interval.linalg import interval_gram
 
 #: The webscale geometry the gate is defined at: 100k x 2k at 1% density.
 PRESET = SPARSE_SCALE_PRESETS["webscale"]
 
-#: Rows of the dense measurement subsample (the f32/f64 ratio is invariant
-#: in the row count; see module docstring).
-DENSE_ROWS = 5_000
-
 #: Gates from the issue's acceptance criteria.
 MIN_F32_SPEEDUP = 1.8
 MIN_F32_STORAGE_RATIO = 1.9
-
-SPARSE = make_sparse_rating_matrix(preset="webscale", seed=2024)
-DENSE = SPARSE.rows(np.arange(DENSE_ROWS)).to_dense()
-DENSE32 = DENSE.astype(np.float32, outward=True)
-
-
-def _best_of(fn, rounds=2):
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _interleaved_best(fns, rounds=3):
@@ -71,33 +58,36 @@ def _interleaved_best(fns, rounds=3):
     return best
 
 
-def test_bench_precision_gram_float32_vs_float64(benchmark):
+def test_bench_precision_gram_float32_vs_float64(benchmark, webscale_sparse,
+                                                webscale_dense_sample):
     """The tentpole gate: >=1.8x wall-clock, ~2x endpoint storage at f32."""
-    n_users, n_items = SPARSE.shape
+    n_users, n_items = webscale_sparse.shape
     assert (n_users, n_items) == (PRESET.n_users, PRESET.n_items)
+    dense = webscale_dense_sample
+    dense32 = dense.astype(np.float32, outward=True)
 
     f64_seconds, f32_seconds = _interleaved_best(
-        [lambda: interval_gram(DENSE), lambda: interval_gram(DENSE32)])
+        [lambda: interval_gram(dense), lambda: interval_gram(dense32)])
     # Keep one measured round in the benchmark table itself (the float32
     # path is the one the gate certifies).
-    gram32 = benchmark.pedantic(interval_gram, args=(DENSE32,),
+    gram32 = benchmark.pedantic(interval_gram, args=(dense32,),
                                 rounds=1, iterations=1)
     assert gram32.dtype == np.float32
 
     # Sound-enclosure spot check in the same run: a float64 member Gram must
     # land inside the float32 result.
-    member = np.random.default_rng(0).uniform(DENSE32.lower, DENSE32.upper)
+    member = np.random.default_rng(0).uniform(dense32.lower, dense32.upper)
     member_gram = member.T @ member
     assert np.all(gram32.lower.astype(np.float64) <= member_gram)
     assert np.all(gram32.upper.astype(np.float64) >= member_gram)
 
-    f64_bytes = DENSE.lower.nbytes + DENSE.upper.nbytes
-    f32_bytes = DENSE32.lower.nbytes + DENSE32.upper.nbytes
+    f64_bytes = dense.lower.nbytes + dense.upper.nbytes
+    f32_bytes = dense32.lower.nbytes + dense32.upper.nbytes
     speedup = f64_seconds / f32_seconds
     storage_ratio = f64_bytes / f32_bytes
 
     benchmark.extra_info["shape"] = f"{n_users}x{n_items}"
-    benchmark.extra_info["rows_measured"] = DENSE_ROWS
+    benchmark.extra_info["rows_measured"] = dense.shape[0]
     benchmark.extra_info["gram_f64_ms"] = round(f64_seconds * 1000.0, 1)
     benchmark.extra_info["gram_f32_ms"] = round(f32_seconds * 1000.0, 1)
     benchmark.extra_info["f32_speedup"] = round(speedup, 2)
@@ -113,16 +103,19 @@ def test_bench_precision_gram_float32_vs_float64(benchmark):
     )
 
 
-def test_bench_precision_sparse_gram(benchmark):
+def test_bench_precision_sparse_gram(benchmark, webscale_sparse,
+                                     webscale_sparse_gram_seconds):
     """Ungated: the sparse path's real float32 numbers at full webscale.
 
     CSR indices stay 8/4-byte regardless of the value dtype, so neither the
     dense speedup nor the dense storage ratio is reachable here; the
     snapshot records what float32 actually buys on this path.
     """
-    sparse32 = SPARSE.astype(np.float32, outward=True)
-    f64_seconds = _best_of(lambda: interval_gram(SPARSE), rounds=1)
-    f32_seconds = _best_of(lambda: interval_gram(sparse32), rounds=1)
+    sparse32 = webscale_sparse.astype(np.float32, outward=True)
+    f64_seconds = webscale_sparse_gram_seconds
+    start = time.perf_counter()
+    interval_gram(sparse32)
+    f32_seconds = time.perf_counter() - start
     gram32 = benchmark.pedantic(interval_gram, args=(sparse32,),
                                 rounds=1, iterations=1)
     assert gram32.dtype == np.float32
@@ -132,4 +125,4 @@ def test_bench_precision_sparse_gram(benchmark):
     benchmark.extra_info["sparse_f32_speedup"] = round(
         f64_seconds / f32_seconds, 2)
     benchmark.extra_info["sparse_f32_storage_ratio"] = round(
-        SPARSE.endpoint_nbytes() / sparse32.endpoint_nbytes(), 2)
+        webscale_sparse.endpoint_nbytes() / sparse32.endpoint_nbytes(), 2)

@@ -18,12 +18,14 @@ what was timed).  The dense storage figure is exact arithmetic
 A parity case pins correctness at the same time: on the shared subsample the
 sparse and dense Gram endpoints agree to tight tolerance (bit-for-bit parity
 on exactly-representable data is covered by tests/test_interval_sparse.py).
+
+The matrix, its dense subsample and the timed sparse Gram are session
+fixtures of ``benchmarks/conftest.py``, shared with test_bench_precision.py.
 """
 
 import time
 
 import numpy as np
-import pytest
 
 from repro.core.isvd import isvd
 from repro.datasets.ratings import SPARSE_SCALE_PRESETS, make_sparse_rating_matrix
@@ -32,16 +34,9 @@ from repro.interval.linalg import interval_gram
 #: Full benchmark geometry (the ISSUE's gate): 100k x 2k at 1% density.
 PRESET = SPARSE_SCALE_PRESETS["webscale"]
 
-#: Rows of the dense comparison subsample (wall-clock extrapolates by
-#: ``n_users / DENSE_ROWS``; the Gram product is linear in rows).
-DENSE_ROWS = 5_000
-
 #: Gates from the issue's acceptance criteria.
 MIN_SPEEDUP = 5.0
 MIN_STORAGE_RATIO = 10.0
-
-SPARSE = make_sparse_rating_matrix(preset="webscale", seed=2024)
-DENSE_SAMPLE = SPARSE.rows(np.arange(DENSE_ROWS)).to_dense()
 
 
 def _best_of(fn, rounds=2):
@@ -53,31 +48,35 @@ def _best_of(fn, rounds=2):
     return best
 
 
-def test_bench_sparse_gram_vs_dense(benchmark):
+def test_bench_sparse_gram_vs_dense(benchmark, webscale_sparse,
+                                    webscale_dense_sample,
+                                    webscale_sparse_gram_seconds):
     """The tentpole gate: >=5x wall-clock, >=10x endpoint storage at webscale."""
-    n_users, n_items = SPARSE.shape
+    n_users, n_items = webscale_sparse.shape
     assert (n_users, n_items) == (PRESET.n_users, PRESET.n_items)
+    dense_rows = webscale_dense_sample.shape[0]
 
-    dense_sample_seconds = _best_of(lambda: interval_gram(DENSE_SAMPLE))
-    dense_full_estimate = dense_sample_seconds * (n_users / DENSE_ROWS)
-    sparse_seconds = _best_of(lambda: interval_gram(SPARSE), rounds=1)
+    dense_sample_seconds = _best_of(lambda: interval_gram(webscale_dense_sample))
+    dense_full_estimate = dense_sample_seconds * (n_users / dense_rows)
+    sparse_seconds = webscale_sparse_gram_seconds
     # Keep one measured round in the benchmark table itself (the sparse path
     # is the production one).
-    gram = benchmark.pedantic(interval_gram, args=(SPARSE,), rounds=1, iterations=1)
+    gram = benchmark.pedantic(interval_gram, args=(webscale_sparse,),
+                              rounds=1, iterations=1)
     assert gram.shape == (n_items, n_items)
 
-    sparse_bytes = SPARSE.endpoint_nbytes()
+    sparse_bytes = webscale_sparse.endpoint_nbytes()
     dense_bytes = 2 * n_users * n_items * 8  # exact: two float64 endpoint arrays
     speedup = dense_full_estimate / sparse_seconds
     storage_ratio = dense_bytes / sparse_bytes
 
     benchmark.extra_info["shape"] = f"{n_users}x{n_items}"
-    benchmark.extra_info["density"] = round(SPARSE.density, 5)
-    benchmark.extra_info["nnz"] = SPARSE.nnz
+    benchmark.extra_info["density"] = round(webscale_sparse.density, 5)
+    benchmark.extra_info["nnz"] = webscale_sparse.nnz
     benchmark.extra_info["sparse_gram_ms"] = round(sparse_seconds * 1000.0, 1)
     benchmark.extra_info["dense_gram_ms_measured"] = round(
         dense_sample_seconds * 1000.0, 1)
-    benchmark.extra_info["dense_rows_measured"] = DENSE_ROWS
+    benchmark.extra_info["dense_rows_measured"] = dense_rows
     benchmark.extra_info["dense_gram_ms_full_estimate"] = round(
         dense_full_estimate * 1000.0, 1)
     benchmark.extra_info["sparse_speedup"] = round(speedup, 2)
@@ -95,14 +94,16 @@ def test_bench_sparse_gram_vs_dense(benchmark):
     )
 
 
-def test_bench_sparse_gram_parity(benchmark):
+def test_bench_sparse_gram_parity(benchmark, webscale_sparse,
+                                  webscale_dense_sample):
     """Sparse and dense Gram agree on the shared subsample (float tolerance)."""
-    sparse_sample = SPARSE.rows(np.arange(DENSE_ROWS))
+    dense_rows = webscale_dense_sample.shape[0]
+    sparse_sample = webscale_sparse.rows(np.arange(dense_rows))
     result = benchmark.pedantic(interval_gram, args=(sparse_sample,),
                                 rounds=1, iterations=1)
-    reference = interval_gram(DENSE_SAMPLE)
+    reference = interval_gram(webscale_dense_sample)
     assert result.allclose(reference, atol=1e-8, rtol=1e-10)
-    benchmark.extra_info["parity_rows"] = DENSE_ROWS
+    benchmark.extra_info["parity_rows"] = dense_rows
 
 
 def test_bench_sparse_isvd_end_to_end(benchmark):

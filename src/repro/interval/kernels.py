@@ -40,10 +40,21 @@ registry:
 Select a kernel anywhere an interval product runs: ``interval_matmul(a, b,
 kernel="rump")``, ``isvd(..., kernel="exact")``, ``QueryEngine(...,
 kernel="rump")``, or ``--interval-kernel`` on the CLI.
+
+Each kernel has one product function, ``_product(a, b, matmul)``, for dense
+and sparse operands alike: the operands' storage picks the scalar ``matmul``.
+A :class:`~repro.interval.sparse.SparseIntervalMatrix` operand gets
+``operator.matmul`` (scipy's sparse BLAS); dense operands get the caller's
+primitive or ``numpy.matmul``.  The Gram product ``Mᵀ M`` is that same
+product, with the sparse results densified for a sparse ``M``.  The one
+specialisation is ``endpoint4``'s sparse gram: its two cross products are
+mutual transposes, so it runs three sparse products (SpGEMMs) instead of
+four.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -106,12 +117,7 @@ def _inflate_product(lower, upper, a, b, matmul: Callable):
     """Outward-inflate a float32 product of a sound kernel (no-op otherwise)."""
     if lower.dtype != np.float32:
         return lower, upper
-    magnitude = _operand_magnitude(a)
-    mag_b = _operand_magnitude(b)
-    if issparse(magnitude) or issparse(mag_b):
-        magnitude = magnitude @ mag_b
-    else:
-        magnitude = matmul(magnitude, mag_b)
+    magnitude = matmul(_operand_magnitude(a), _operand_magnitude(b))
     if issparse(lower):
         # Cells structurally absent from the magnitude product are exactly
         # [0, 0] (every summand has a structural zero), so padding only the
@@ -124,23 +130,15 @@ def _inflate_product(lower, upper, a, b, matmul: Callable):
         lower.data = np.nextafter(lower.data, np.float32(-np.inf))
         upper.data = np.nextafter(upper.data, np.float32(np.inf))
         return lower, upper
-    if issparse(magnitude):
-        magnitude = magnitude.toarray()
     pad = enclosure_pad(magnitude, a.shape[-1], lower.dtype)
     return (np.nextafter(lower - pad, np.float32(-np.inf)),
             np.nextafter(upper + pad, np.float32(np.inf)))
 
 
-def _inflate_gram(lower, upper, matrix):
-    """Outward-inflate a float32 sparse gram result of a sound kernel (no-op
-    otherwise) by the full :func:`enclosure_pad`."""
-    if lower.dtype != np.float32:
-        return lower, upper
-    magnitude = _operand_magnitude(matrix)
-    magnitude = (magnitude.T.tocsr() @ magnitude).toarray()
-    pad = enclosure_pad(magnitude, matrix.shape[0], lower.dtype)
-    return (np.nextafter(lower - pad, np.float32(-np.inf)),
-            np.nextafter(upper + pad, np.float32(np.inf)))
+def _densified_matmul(x, y) -> np.ndarray:
+    """Sparse x sparse scalar product, materialized as a dense array (the
+    sparse gram's primitive: its ``m x m`` result is small and dense)."""
+    return (x @ y).toarray()
 
 
 @dataclass(frozen=True)
@@ -164,6 +162,11 @@ class KernelInfo:
         paths must keep this one to stay byte-identical.
     cost:
         Coarse cost class, e.g. ``"4 blas"`` or ``"blas + O(nmp) mixed"``.
+    sparse:
+        True when the kernel's product runs on
+        :class:`SparseIntervalMatrix` operands through scipy's sparse BLAS
+        instead of densifying them.  Kernels without sparse support raise on
+        sparse operands rather than silently materializing a dense copy.
     """
 
     key: str
@@ -172,17 +175,11 @@ class KernelInfo:
     tight: bool
     paper_faithful: bool
     cost: str
+    sparse: bool
     _product: Callable = field(repr=False)
-    _sparse_product: Optional[Callable] = field(repr=False, default=None)
+    #: A sparse gram that beats ``_product(M.T, M, ...)``.  It is returned
+    #: as is, with no float32 inflation, so only an unsound kernel may set it.
     _sparse_gram: Optional[Callable] = field(repr=False, default=None)
-
-    @property
-    def sparse(self) -> bool:
-        """True when the kernel executes :class:`SparseIntervalMatrix`
-        operands through scipy's sparse BLAS instead of densifying them.
-        Kernels without sparse support raise on sparse operands rather than
-        silently materializing a dense copy."""
-        return self._sparse_product is not None
 
     def product(self, a, b,
                 matmul: Optional[Callable] = None) -> Tuple[np.ndarray, np.ndarray]:
@@ -195,23 +192,17 @@ class KernelInfo:
         when both operands are sparse the returned endpoints are sparse too.
         """
         if is_sparse_interval(a) or is_sparse_interval(b):
-            if self._sparse_product is None:
+            if not self.sparse:
                 supported = ", ".join(sorted(
                     key for key, info in _KERNELS.items() if info.sparse))
                 raise IntervalError(
                     f"kernel {self.key!r} has no sparse execution; densify the "
                     f"operands with .to_dense() or use one of: {supported}"
                 )
-            lower, upper = self._sparse_product(a, b)
-            if self.sound:
-                lower, upper = _inflate_product(lower, upper, a, b, np.matmul)
-            return lower, upper
-        if matmul is None:
+            matmul = operator.matmul
+        elif matmul is None:
             matmul = np.matmul
-        lower, upper = self._product(a, b, matmul)
-        if self.sound:
-            lower, upper = _inflate_product(lower, upper, a, b, matmul)
-        return lower, upper
+        return self._enclosure(a, b, matmul)
 
     def gram(self, matrix) -> Tuple[np.ndarray, np.ndarray]:
         """Dense endpoint arrays of the Gram product ``matrix.T @ matrix``.
@@ -219,16 +210,22 @@ class KernelInfo:
         The ISVD2/3/4 hot path.  A dense ``matrix`` runs
         ``product(matrix.T, matrix)`` itself, so the gram and the product
         are the same bytes.  A :class:`SparseIntervalMatrix` on a kernel with
-        sparse execution runs its endpoint products in scipy's sparse BLAS and
+        sparse execution runs the same product in scipy's sparse BLAS and
         only the (small, dense) ``m x m`` results are materialized; on a
         kernel without it, ``product`` raises.
         """
-        if is_sparse_interval(matrix) and self._sparse_gram is not None:
-            lower, upper = self._sparse_gram(matrix)
-            if self.sound:
-                lower, upper = _inflate_gram(lower, upper, matrix)
-            return lower, upper
-        return self.product(matrix.T, matrix)
+        if not (self.sparse and is_sparse_interval(matrix)):
+            return self.product(matrix.T, matrix)
+        if self._sparse_gram is not None:
+            return self._sparse_gram(matrix)
+        return self._enclosure(matrix.T, matrix, _densified_matmul)
+
+    def _enclosure(self, a, b, matmul: Callable) -> Tuple[np.ndarray, np.ndarray]:
+        """The kernel's product over ``matmul``, inflated when it is sound."""
+        lower, upper = self._product(a, b, matmul)
+        if self.sound:
+            lower, upper = _inflate_product(lower, upper, a, b, matmul)
+        return lower, upper
 
 
 KernelLike = Union[str, KernelInfo, None]
@@ -266,41 +263,25 @@ def kernel_infos() -> List[KernelInfo]:
 # --------------------------------------------------------------------------- #
 # endpoint4 — the paper's four-endpoint construction (supplementary Alg. 1)
 # --------------------------------------------------------------------------- #
-def _endpoint4_product(a: IntervalMatrix, b: IntervalMatrix,
-                       matmul: Callable) -> Tuple[np.ndarray, np.ndarray]:
+def _endpoint4_product(a, b, matmul: Callable) -> Tuple[np.ndarray, np.ndarray]:
     products = (
         matmul(a.lower, b.lower),
         matmul(a.lower, b.upper),
         matmul(a.upper, b.lower),
         matmul(a.upper, b.upper),
     )
-    stacked = np.stack(products)
-    return stacked.min(axis=0), stacked.max(axis=0)
-
-
-def _endpoint4_sparse_product(a, b) -> Tuple[np.ndarray, np.ndarray]:
-    """Four endpoint products with at least one sparse operand.
-
-    sparse x dense (either order) yields dense ndarrays from scipy's sparse
-    BLAS and reduces with the dense min/max.  sparse x sparse stays sparse end
-    to end: the elementwise ``minimum``/``maximum`` of the four sparse
-    products treats absent cells as 0, exactly like the dense reduction over
-    a structurally-zero column.
-    """
-    products = (
-        a.lower @ b.lower,
-        a.lower @ b.upper,
-        a.upper @ b.lower,
-        a.upper @ b.upper,
-    )
-    if all(issparse(product) for product in products):
+    if issparse(products[0]):
+        # sparse x sparse stays sparse end to end: the elementwise
+        # minimum/maximum of the four sparse products treats absent cells
+        # as 0, exactly like the dense reduction over a structurally-zero
+        # column.
         first, *rest = products
         lower = upper = first
         for product in rest:
             lower = lower.minimum(product)
             upper = upper.maximum(product)
         return lower.tocsr(), upper.tocsr()
-    stacked = np.stack([np.asarray(product) for product in products])
+    stacked = np.stack(products)
     return stacked.min(axis=0), stacked.max(axis=0)
 
 
@@ -406,69 +387,40 @@ def _exact_product(a: IntervalMatrix, b: IntervalMatrix,
 # --------------------------------------------------------------------------- #
 # rump — midpoint-radius fast enclosure (Rump 1999)
 # --------------------------------------------------------------------------- #
-def _rump_product(a: IntervalMatrix, b: IntervalMatrix,
-                  matmul: Callable) -> Tuple[np.ndarray, np.ndarray]:
+def _rump_product(a, b, matmul: Callable) -> Tuple[np.ndarray, np.ndarray]:
+    # Midpoint/radius of a sparse operand share its sparsity pattern, so the
+    # whole construction runs in whichever storage the operands use.
     a_center, a_radius = a.midpoint(), a.radius()
     b_center, b_radius = b.midpoint(), b.radius()
     center = matmul(a_center, b_center)
     # |Ac| Br + Ar (|Bc| + Br): three radius products fused into two matmuls.
-    radius = matmul(np.abs(a_center), b_radius) + matmul(
-        a_radius, np.abs(b_center) + b_radius
+    radius = matmul(abs(a_center), b_radius) + matmul(
+        a_radius, abs(b_center) + b_radius
     )
-    return center - radius, center + radius
-
-
-def _rump_sparse_product(a, b) -> Tuple[np.ndarray, np.ndarray]:
-    """Midpoint-radius enclosure with at least one sparse operand.
-
-    Midpoint/radius of a sparse operand share its sparsity pattern, so the
-    whole construction runs in scipy's sparse BLAS.  sparse x sparse keeps the
-    endpoints sparse (``center ± radius``); a dense partner makes the result
-    dense, as with the scalar product.
-    """
-    a_center, a_radius = a.midpoint(), a.radius()
-    b_center, b_radius = b.midpoint(), b.radius()
-    center = a_center @ b_center
-    radius = abs(a_center) @ b_radius + a_radius @ (abs(b_center) + b_radius)
     if issparse(center) and issparse(radius):
         return (center - radius).tocsr(), (center + radius).tocsr()
-    center = np.asarray(center)
-    radius = np.asarray(radius)
     return center - radius, center + radius
-
-
-def _rump_sparse_gram(m) -> Tuple[np.ndarray, np.ndarray]:
-    """Gram product of a sparse operand under ``rump``, in sparse BLAS."""
-    center, radius = m.midpoint(), m.radius()
-    center_t = center.T.tocsr()
-    radius_t = radius.T.tocsr()
-    gram_center = (center_t @ center).toarray()
-    gram_radius = (abs(center_t) @ radius).toarray() + (
-        radius_t @ (abs(center) + radius)).toarray()
-    return gram_center - gram_radius, gram_center + gram_radius
 
 
 _KERNELS: Dict[str, KernelInfo] = {info.key: info for info in (
     KernelInfo(
         key="endpoint4",
         summary="paper's four-endpoint-product min/max (Alg. 1); unsound on mixed signs",
-        sound=False, tight=False, paper_faithful=True, cost="4 blas",
+        sound=False, tight=False, paper_faithful=True, cost="4 blas", sparse=True,
         _product=_endpoint4_product,
-        _sparse_product=_endpoint4_sparse_product,
         _sparse_gram=_endpoint4_sparse_gram,
     ),
     KernelInfo(
         key="exact",
         summary="sign-class-decomposed interval hull; tightest, O(nmp) on mixed x mixed",
         sound=True, tight=True, paper_faithful=False, cost="12 blas + O(nmp) mixed",
+        sparse=False,
         _product=_exact_product,
     ),
     KernelInfo(
         key="rump",
         summary="midpoint-radius enclosure (Rump); sound, 3 blas, slightly wider",
-        sound=True, tight=False, paper_faithful=False, cost="3 blas",
+        sound=True, tight=False, paper_faithful=False, cost="3 blas", sparse=True,
         _product=_rump_product,
-        _sparse_product=_rump_sparse_product,
-        _sparse_gram=_rump_sparse_gram,
     ),
 )}

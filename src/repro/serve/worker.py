@@ -36,13 +36,17 @@ suite asserts byte equality against both
 
 **Generation pinning.**  The supervisor plans against one
 :class:`~repro.serve.shard.ShardManifest` and ships that exact manifest
-(JSON in the environment) to every worker it spawns, so workers load the
-*pinned* generation even after a reshard has moved the on-disk sidecar on —
-the superseded generation's files are kept until drain precisely for this.
-A worker whose pinned generation is no longer loadable (two reshards, or an
-explicit GC) exits with :data:`EXIT_STALE_GENERATION` instead of loading
-mixed rows, and a supervisor refuses to *start* a fresh fleet against a
-superseded manifest.  The front end's engine cache keys on the generation,
+(JSON in the environment) to every worker it spawns.  The shipped manifest
+is the worker's only pin: it fixes the generation, the row ranges, the
+fingerprints and the factor dtype, so workers load the *pinned* generation
+even after a reshard has moved the on-disk sidecar on — the superseded
+generation's files are kept until drain precisely for this.  A worker
+started without a manifest exits 2, like one without its auth token.  A
+worker whose pinned shard is not loadable — its files gone (two reshards,
+or an explicit GC), corrupt, or of another dtype than the manifest records
+— exits with :data:`EXIT_SHARD_UNLOADABLE` instead of serving mixed rows,
+and a supervisor refuses to *start* a fresh fleet against a superseded
+manifest.  The front end's engine cache keys on the generation,
 so the next request simply builds a fresh engine against the new manifest.
 """
 
@@ -107,14 +111,11 @@ from repro.serve.shard import (
 )
 from repro.serve.store import ModelStoreError
 
-#: Worker exit status when the on-disk manifest no longer matches the
-#: generation the supervisor pinned (a reshard raced the worker start).
-EXIT_STALE_GENERATION = 3
-
-#: Worker exit status when the loaded shard's factor dtype does not match
-#: the dtype the supervisor pinned — serving would silently mix precisions
-#: (and therefore bytes) across shards, so the worker refuses to serve.
-EXIT_DTYPE_MISMATCH = 4
+#: Worker exit status when the pinned shard cannot be loaded: its files are
+#: missing (superseded more than one reshard ago), corrupt, or hold another
+#: dtype than the manifest records (serving would silently mix precisions,
+#: and therefore bytes, across shards).
+EXIT_SHARD_UNLOADABLE = 3
 
 #: Name of the environment variable carrying the connect-back auth token
 #: (environment, not argv: argv is world-readable in ``ps``).
@@ -139,16 +140,6 @@ CALL_TIMEOUT = 30.0
 logger = logging.getLogger("repro.serve.worker")
 
 
-def _generation_token(generation: Optional[int]) -> str:
-    """Command-line encoding of a pinned generation (legacy manifests have
-    none)."""
-    return "legacy" if generation is None else str(generation)
-
-
-def _parse_generation_token(token: str) -> Optional[int]:
-    return None if token == "legacy" else int(token)
-
-
 # --------------------------------------------------------------------- #
 # Worker side (runs in the spawned process)
 # --------------------------------------------------------------------- #
@@ -161,22 +152,18 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--store", required=True, help="model store directory")
     parser.add_argument("--model", required=True, help="sharded model name")
     parser.add_argument("--shard", required=True, type=int, help="shard index")
-    parser.add_argument("--generation", required=True,
-                        help="pinned manifest generation ('legacy' for "
-                             "manifests without one)")
     parser.add_argument("--connect-port", required=True, type=int,
                         help="supervisor's localhost connect-back port")
     parser.add_argument("--kernel", default=None,
                         help="interval-product kernel key")
-    parser.add_argument("--dtype", default="float64",
-                        help="pinned factor dtype the loaded shard must match")
     return parser
 
 
 def worker_main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point of one shard worker process.
 
-    Loads its shard (fingerprint-verified), connects back to the
+    Loads its shard of the manifest pinned in :data:`MANIFEST_ENV`
+    (fingerprint- and dtype-verified), connects back to the
     supervisor, authenticates with the token from :data:`TOKEN_ENV`, then
     answers request frames until the supervisor closes the connection —
     end-of-stream is the shutdown signal, so a worker can never outlive its
@@ -193,47 +180,31 @@ def worker_main(argv: Optional[Sequence[str]] = None) -> int:
     if not token:
         logger.error("worker: no auth token in the environment")
         return 2
+    pinned_payload = os.environ.get(MANIFEST_ENV)
+    if not pinned_payload:
+        logger.error("worker: no pinned manifest in the environment")
+        return 2
     faults = FaultPlan.from_env()
     if faults is not None:
         faults.bind(args.shard)
         install_protocol_hook(faults)
         logger.warning("worker shard %d armed fault plan %r",
                        args.shard, faults.spec)
-    expected_generation = _parse_generation_token(args.generation)
+        faults.fire("load")
     store = ShardedModelStore(args.store)
-    pinned_payload = os.environ.get(MANIFEST_ENV)
-    if pinned_payload:
+    try:
         manifest = store.manifest_from_payload(args.model,
                                                json.loads(pinned_payload))
-    else:  # hand-run without a supervisor: serve whatever is current
-        manifest = store.manifest(args.model)
-    if manifest.record.generation != expected_generation:
-        logger.error(
-            "worker: manifest of %r is at generation %s (pinned %s)",
-            args.model, manifest.record.generation, expected_generation)
-        return EXIT_STALE_GENERATION
-    if faults is not None:
-        faults.fire("load")
-    try:
         shard, manifest = store.load_shard(args.model, args.shard,
                                            manifest=manifest)
     except ModelStoreError as error:
-        # The pinned generation's files are gone — more than one reshard
-        # has passed (or an explicit GC ran) since this worker's supervisor
-        # planned.  Exit with the stale status so the supervisor reports
-        # the cause instead of a bare load failure.
-        logger.error("worker: pinned generation %s of %r is no longer "
-                     "loadable: %s",
-                     _generation_token(expected_generation), args.model, error)
-        return EXIT_STALE_GENERATION
-    if shard.dtype.name != args.dtype:
-        # A shard of the wrong precision must never join a fleet: its
-        # scores would differ from its peers' in the last bits, silently
-        # breaking the byte-identity contract of scatter-gather serving.
-        logger.error("worker: shard %d of %r holds %s factors but the "
-                     "supervisor pinned dtype %s",
-                     args.shard, args.model, shard.dtype.name, args.dtype)
-        return EXIT_DTYPE_MISMATCH
+        # Missing files (more than one reshard, or an explicit GC, since the
+        # supervisor planned), a corrupt archive, or a shard of another
+        # dtype than the manifest records.  Exit with a status of its own
+        # so the supervisor reports the cause instead of a bare failure.
+        logger.error("worker: shard %d of %r is not loadable: %s",
+                     args.shard, args.model, error)
+        return EXIT_SHARD_UNLOADABLE
     engine = QueryEngine(shard, kernel=args.kernel)
     row_start = manifest.row_ranges[args.shard][0]
 
@@ -401,7 +372,6 @@ class ShardWorkerSupervisor:
                 f"cannot serve {name!r}: supervisor pinned to dtype "
                 f"{dtype!r} but the manifest records "
                 f"{manifest.record.dtype!r}")
-        self.dtype = manifest.record.dtype
         self.kernel_key = get_kernel(kernel).key
         self.monitor_interval = monitor_interval
         if call_timeout <= 0:
@@ -497,7 +467,7 @@ class ShardWorkerSupervisor:
             listener.close()
         logger.info("spawned worker for shard %d of %r (pid %d, generation %s)",
                     shard, self.name, handle.pid,
-                    _generation_token(self.manifest.record.generation))
+                    self.manifest.record.generation)
         return handle
 
     def _launch(self, shard: int, port: int) -> subprocess.Popen:
@@ -507,11 +477,8 @@ class ShardWorkerSupervisor:
             "--store", str(self.directory),
             "--model", self.name,
             "--shard", str(shard),
-            "--generation",
-            _generation_token(self.manifest.record.generation),
             "--connect-port", str(port),
             "--kernel", self.kernel_key,
-            "--dtype", self.dtype,
         ]
         environment = dict(os.environ)
         environment[TOKEN_ENV] = self._token
@@ -541,10 +508,9 @@ class ShardWorkerSupervisor:
                 )
             if process.poll() is not None:
                 cause = ""
-                if process.returncode == EXIT_STALE_GENERATION:
-                    cause = " (stale manifest generation)"
-                elif process.returncode == EXIT_DTYPE_MISMATCH:
-                    cause = " (shard dtype does not match the pinned dtype)"
+                if process.returncode == EXIT_SHARD_UNLOADABLE:
+                    cause = (" (pinned shard files missing, corrupt or of "
+                             "another dtype)")
                 raise WorkerError(
                     f"worker for shard {shard} of {self.name!r} exited with "
                     f"status {process.returncode} before connecting" + cause

@@ -17,12 +17,16 @@ import time
 import numpy as np
 import pytest
 
+from fresh_interpreter import run
+
 from repro.core import registry
 from repro.interval.array import IntervalMatrix
 from repro.interval.sparse import SparseIntervalMatrix
 from repro.serve.query import QueryEngine
 from repro.serve.shard import ShardedModelStore, ShardedQueryEngine, ShardPlanner
 from repro.serve.worker import (
+    MANIFEST_ENV,
+    TOKEN_ENV,
     ShardWorkerSupervisor,
     WorkerError,
     WorkerShardedQueryEngine,
@@ -295,6 +299,21 @@ class TestGenerationPinning:
                 supervisor.start()
         finally:
             supervisor.close()
+
+    def test_worker_without_manifest_exits_2_in_one_line(
+            self, published, monkeypatch):
+        # The shipped manifest is the worker's only pin: a worker started
+        # without one refuses to guess a generation from the sidecar.
+        store, _, _ = published
+        monkeypatch.setenv(TOKEN_ENV, "token")
+        monkeypatch.delenv(MANIFEST_ENV, raising=False)
+        completed = run("-m", "repro.serve.worker",
+                        "--store", str(store.directory), "--model", "m",
+                        "--shard", "0", "--connect-port", "9")
+        assert completed.returncode == 2
+        lines = completed.stderr.strip().splitlines()
+        assert len(lines) == 1, completed.stderr
+        assert "no pinned manifest" in lines[0]
 
     def test_engine_pinned_generation_survives_one_reshard(
             self, published, fitted):
