@@ -6,7 +6,8 @@ The script walks the full online-serving loop:
 
 1. generate a synthetic rating dataset and build the paper's per-rating
    interval matrix (each rating widened by the row/column rating spread);
-2. decompose it with ISVD4 and publish the factors to a model store;
+2. decompose it with ISVD4 and publish the factors to a model store, as
+   one row-range shard;
 3. start the HTTP service on an ephemeral port (in a background thread here;
    operationally this is ``repro serve --store ...``);
 4. fold in brand-new users — rows the model was never fitted on — and fetch
@@ -24,7 +25,7 @@ import numpy as np
 from repro.core import registry
 from repro.datasets.ratings import make_ratings_dataset, rating_interval_matrix
 from repro.interval.array import IntervalMatrix
-from repro.serve import ModelStore, ShardedModelStore, create_server
+from repro.serve import ShardedModelStore, create_server
 
 
 def post(url, payload):
@@ -54,10 +55,11 @@ def main() -> None:
     # 2. Decompose and publish.
     decomposition = registry.get("isvd4").fit(matrix, rank=10, target="b")
     with tempfile.TemporaryDirectory() as directory:
-        store = ModelStore(directory)
-        record = store.save("movies", decomposition, matrix=matrix)
+        store = ShardedModelStore(directory)
+        record = store.save_sharded("movies", decomposition, 1, matrix=matrix)
         print(f"published: {record.name} ({record.method}, target {record.target}, "
-              f"rank {record.rank}, shape {record.shape})")
+              f"rank {record.rank}, shape {record.shape}, "
+              f"generation {record.generation})")
 
         # 3. Serve (equivalent to: repro serve --store <dir> --port 0).
         server = create_server(store, port=0)
@@ -94,8 +96,7 @@ def main() -> None:
         #    and ask again: the server picks up the republished model without
         #    a restart, routes through the scatter-gather engine, and the
         #    responses are byte-identical.
-        ShardedModelStore(directory).save_sharded("movies", decomposition, 4,
-                                                  matrix=matrix)
+        store.save_sharded("movies", decomposition, 4, matrix=matrix)
         resharded = post(f"{base}/recommend", {
             "model": "movies", "k": 5,
             "lower": queries.lower.tolist(), "upper": queries.upper.tolist(),

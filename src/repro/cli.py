@@ -15,11 +15,11 @@ Sub-commands:
 * ``list-methods`` — show every key of the factorizer registry with its
   capability metadata.
 * ``models`` — list the models published to a store directory.
-* ``shard`` — re-publish a model as row-range shards of ``U`` (or back to
-  the single-file format), for scatter-gather serving.
+* ``shard`` — re-publish a model as a different number of row-range shards
+  of ``U`` under the next generation, for scatter-gather serving.
 * ``serve`` — run the HTTP JSON service (``/models``, ``/recommend``,
-  ``/neighbors``, ``/healthz``) over a model store; sharded and single-file
-  models are served transparently.
+  ``/neighbors``, ``/healthz``) over a model store; every shard count is
+  served byte-identically, in-process or from one worker process per shard.
 * ``query`` — send one recommendation / nearest-neighbour query to a running
   ``repro serve`` instance and print the JSON response.
 
@@ -90,6 +90,10 @@ def _load_matrix(args: argparse.Namespace) -> IntervalMatrix:
 _ACCURACY_DENSIFY_LIMIT = 4_000_000
 
 
+def _shard_count(n: int) -> str:
+    return f"{n} row-range shard" + ("s" if n > 1 else "")
+
+
 def _cmd_decompose(args: argparse.Namespace) -> int:
     from repro.interval.sparse import SparseIntervalMatrix, is_sparse_interval
 
@@ -102,7 +106,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         from repro.serve.store import ModelStore, ModelStoreError
 
         try:
-            ModelStore.check_publish_name(args.save_model)
+            ModelStore.check_name(args.save_model)
         except ModelStoreError as error:
             raise SystemExit(str(error))
     matrix = _load_matrix(args)
@@ -160,25 +164,13 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         repro_io.save_decomposition_npz(decomposition, args.output)
         print(f"factors written to {args.output}")
     if args.save_model:
-        # --shards 1 means "single-file", exactly like `repro shard --shards 1`.
-        if args.shards is not None and args.shards > 1:
-            from repro.serve.shard import ShardedModelStore
+        from repro.serve.shard import ShardedModelStore
 
-            try:
-                record = ShardedModelStore(args.store).save_sharded(
-                    args.save_model, decomposition, args.shards, matrix=matrix)
-            except ValueError as error:  # more shards than rows, shards < 1
-                raise SystemExit(str(error))
-            print(f"model {record.name!r} published to {args.store} in "
-                  f"{record.shards} row-range shards ({record.method}, "
-                  f"target {record.target}, rank {record.rank})")
-        else:
-            from repro.serve.store import ModelStore
-
-            record = ModelStore(args.store).save(args.save_model, decomposition,
-                                                 matrix=matrix)
-            print(f"model {record.name!r} published to {args.store} "
-                  f"({record.method}, target {record.target}, rank {record.rank})")
+        record = ShardedModelStore(args.store).save_sharded(
+            args.save_model, decomposition, args.shards or 1, matrix=matrix)
+        print(f"model {record.name!r} published to {args.store} in "
+              f"{_shard_count(record.shards)} ({record.method}, "
+              f"target {record.target}, rank {record.rank})")
     return 0
 
 
@@ -335,8 +327,8 @@ def _cmd_models(args: argparse.Namespace) -> int:
             record.target,
             record.rank,
             "x".join(str(n) for n in record.shape),
-            "-" if record.shards is None else record.shards,
-            "-" if record.generation is None else record.generation,
+            record.shards,
+            record.generation,
             (record.fingerprint or "")[:12],
         ]
         for record in records
@@ -409,7 +401,7 @@ def _cmd_shard(args: argparse.Namespace) -> int:
         raise SystemExit("--shards must be >= 1")
     try:
         # Fail on a bad target name *before* loading and hashing the shards.
-        store.check_publish_name(target_name)
+        store.check_name(target_name)
         decomposition, record = store.load_merged(args.name)
     except (ModelStoreError, OSError, BadZipFile, KeyError, ValueError) as error:
         # Beyond store errors: truncated/corrupt archives (BadZipFile,
@@ -417,33 +409,20 @@ def _cmd_shard(args: argparse.Namespace) -> int:
         # clean one-line exit, matching the serving layer's handling.
         raise SystemExit(str(error))
     try:
-        if args.shards == 1:
-            # Resharding down to one shard means "make it single-file again".
-            if args.generation is not None:
-                raise SystemExit(
-                    "--generation applies to sharded publishes only "
-                    "(--shards >= 2)")
-            new_record = store.save(target_name, decomposition,
-                                    fingerprint=record.fingerprint)
-        else:
-            new_record = store.save_sharded(target_name, decomposition,
-                                            args.shards,
-                                            fingerprint=record.fingerprint,
-                                            generation=args.generation)
+        new_record = store.save_sharded(target_name, decomposition, args.shards,
+                                        fingerprint=record.fingerprint,
+                                        generation=args.generation)
     except (ModelStoreError, ValueError) as error:
         raise SystemExit(str(error))
-    if new_record.shards is None:
-        print(f"model {target_name!r} republished single-file in {args.store}")
-    else:
-        from repro.serve.shard import plan_row_ranges
+    from repro.serve.shard import plan_row_ranges
 
-        ranges = plan_row_ranges(new_record.shape[0], new_record.shards)
-        print(f"model {target_name!r} published to {args.store} in "
-              f"{new_record.shards} row-range shards of U "
-              f"({new_record.shape[0]} rows), generation "
-              f"{new_record.generation}:")
-        for index, (start, stop) in enumerate(ranges):
-            print(f"  shard {index:02d}: rows [{start}, {stop})")
+    ranges = plan_row_ranges(new_record.shape[0], new_record.shards)
+    print(f"model {target_name!r} published to {args.store} in "
+          f"{_shard_count(new_record.shards)} of U "
+          f"({new_record.shape[0]} rows), generation "
+          f"{new_record.generation}:")
+    for index, (start, stop) in enumerate(ranges):
+        print(f"  shard {index:02d}: rows [{start}, {stop})")
     return 0
 
 
@@ -477,10 +456,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         worker_options["faults"] = args.inject_faults
     from repro.serve.async_http import create_server
 
-    # --workers serves each sharded model from one process per shard.  (The
-    # worker count is per model and fixed by its shard count; the flag's
-    # value simply switches the backend on, so `--workers 4` over 4-shard
-    # models reads naturally.)
+    # --workers serves each model from one process per shard.  (The worker
+    # count is per model and fixed by its shard count; the flag's value
+    # simply switches the backend on, so `--workers 4` over 4-shard models
+    # reads naturally.)
     server = create_server(
         args.store, host=args.host, port=args.port,
         max_batch=args.max_batch, batch_delay=args.batch_delay / 1000.0,
@@ -572,10 +551,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"model store directory (default: {DEFAULT_STORE})")
     decompose.add_argument("--shards", type=int, default=None, metavar="N",
                            help="with --save-model: publish as N row-range "
-                                "shards of U (item factors replicated); the "
-                                "server scatter-gathers across them with "
-                                "byte-identical results; 1 means single-file, "
-                                "as in `repro shard --shards 1`")
+                                "shards of U (item factors replicated; "
+                                "default 1); the server scatter-gathers "
+                                "across them with byte-identical results")
     decompose.set_defaults(handler=_cmd_decompose)
 
     experiment = subparsers.add_parser("experiment", help="run one of the paper's experiments")
@@ -639,16 +617,15 @@ def build_parser() -> argparse.ArgumentParser:
     models.set_defaults(handler=_cmd_models)
 
     shard = subparsers.add_parser(
-        "shard", help="re-publish a model as row-range shards (or back to "
-                      "single-file with --shards 1)")
+        "shard", help="re-publish a model as N row-range shards under the "
+                      "next generation")
     shard.add_argument("name", help="published model name")
     shard.add_argument("--shards", type=int, required=True, metavar="N",
-                       help="number of row-range shards of U (1 restores the "
-                            "single-file format)")
+                       help="number of row-range shards of U (1 or more)")
     shard.add_argument("--store", default=DEFAULT_STORE,
                        help=f"model store directory (default: {DEFAULT_STORE})")
     shard.add_argument("--as", dest="rename_to", metavar="NEW_NAME",
-                       help="publish the sharded model under this name "
+                       help="publish the resharded model under this name "
                             "instead of replacing the original")
     shard.add_argument("--generation", type=int, default=None, metavar="G",
                        help="publish under this generation number (must "
@@ -672,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--verbose", action="store_true",
                        help="log every request to stderr")
     serve.add_argument("--workers", type=int, default=0, metavar="N",
-                       help="N > 0 serves sharded models from one worker "
+                       help="N > 0 serves every model from one worker "
                             "process per shard (0, the default, serves them "
                             "in-process)")
     serve.add_argument("--head-timeout", type=float, default=30.0,

@@ -3,8 +3,9 @@
 The subsystem has seven layers, each usable on its own (see
 ``docs/ARCHITECTURE.md`` for the data-flow walkthrough):
 
-* :class:`~repro.serve.store.ModelStore` — publishes fitted decompositions
-  (factors + metadata) to a directory, atomically;
+* :class:`~repro.serve.store.ModelStore` — the directory of published
+  models (a JSON manifest plus row-range shard archives per name): lists,
+  inspects and deletes them;
 * :class:`~repro.serve.foldin.FoldInProjector` — maps unseen interval rows
   into a stored model's latent space via least squares, so queries never
   re-run a factorization;
@@ -15,7 +16,8 @@ The subsystem has seven layers, each usable on its own (see
 * :mod:`repro.serve.shard` — row-range sharding:
   :class:`~repro.serve.shard.ShardPlanner` splits a model along the user
   dimension, :class:`~repro.serve.shard.ShardedModelStore` publishes
-  generation-versioned per-shard archives (hitless republish), and
+  every model as generation-versioned per-shard archives (hitless
+  republish) and loads them, and
   :class:`~repro.serve.shard.ShardedQueryEngine` — the one scatter-gather
   router — answers item-space queries (``/recommend``) from its shared
   fold-in projector, scatters reference-space queries across its shards

@@ -20,7 +20,7 @@ Every response body is ``json.dumps(<ServingApp result>)`` — the same bytes
 an in-process caller of the app would serialize.  With the app's ``workers``
 backend enabled, the executor threads feed worker *processes*, giving the
 multi-process serving path of ``repro serve --workers N``; without it,
-sharded models scatter-gather over in-process threads.
+every model scatter-gathers over in-process threads.
 """
 
 from __future__ import annotations
@@ -409,11 +409,10 @@ def create_server(
     worker_options: Optional[Dict[str, object]] = None,
     dtype: Optional[str] = None,
 ) -> AsyncServingServer:
-    """Build the serving front end over a model store (sharded and
-    single-file models alike).
+    """Build the serving front end over a model store.
 
     ``max_batch`` / ``batch_delay`` (seconds) tune micro-batching, which
-    never changes any answer; ``workers=True`` serves sharded models through
+    never changes any answer; ``workers=True`` serves every model through
     one worker process per shard instead of in-process threads, with
     byte-identical answers.  ``kernel``, ``request_timeout``, ``degraded``,
     ``worker_options`` and ``dtype`` are :class:`ServingApp`'s; the rest are

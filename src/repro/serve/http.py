@@ -16,12 +16,11 @@ endpoint pairs, or as a single ``"row": [...]`` — single rows go through the
 batched product without changing any result.
 
 Every model is served through the one scatter-gather router,
-:class:`~repro.serve.shard.ShardedQueryEngine`, whatever its on-disk format:
-a sharded model (published by :class:`~repro.serve.shard.ShardedModelStore`)
-gets one shard per row range — in-process, or one worker process each — and
-a single-file model is a one-shard router.  Every backend returns
-byte-identical answers, so the wire format of a response does not depend on
-how the model is stored or served.
+:class:`~repro.serve.shard.ShardedQueryEngine`, with one shard per row-range
+archive the model was published in — in-process (``sharded-threads``), or
+one worker process each (``workers``).  Both backends return byte-identical
+answers, and so does every shard count, so the wire format of a response
+does not depend on how the model is stored or served.
 
 This module holds the transport-free application (:class:`ServingApp`); the
 HTTP front end that serves it is :mod:`repro.serve.async_http` — standard
@@ -41,7 +40,6 @@ from repro.interval.kernels import KernelLike, get_kernel
 from repro.interval.scalar import IntervalError
 from repro.serve.batching import MicroBatcher
 from repro.serve.query import (
-    QueryEngine,
     TopKResult,
     top_k,
     top_k_from_candidates,
@@ -124,7 +122,7 @@ class ServingApp:
     ``kernel`` selects the interval-product kernel every engine is built
     with (resolved once at startup so a typo fails at boot, not per request);
     ``None`` keeps the paper-faithful default.  With ``workers=True``,
-    sharded models serve through one *worker process* per shard
+    every model serves through one *worker process* per shard
     (:class:`~repro.serve.worker.WorkerShardedQueryEngine`) instead of the
     in-process thread router — answers stay byte-identical either way.
 
@@ -163,7 +161,10 @@ class ServingApp:
             raise ValueError(
                 f"dtype pin must be 'float32' or 'float64', got {dtype!r}")
         self.dtype = dtype
-        self.store = store if isinstance(store, ModelStore) else ModelStore(store)
+        if not isinstance(store, ShardedModelStore):
+            store = ShardedModelStore(
+                store.directory if isinstance(store, ModelStore) else store)
+        self.store = store
         self.kernel = get_kernel(kernel)
         self.max_batch = max_batch
         self.batch_delay = batch_delay
@@ -203,24 +204,17 @@ class ServingApp:
         """The cache key a model's current publish would be stored under."""
         return self._version_of(self._current_record(name))
 
-    def engine(self, name: str) -> Union[ShardedQueryEngine, QueryEngine]:
-        """Engine for a published model, reloaded when the model is republished.
+    def engine(self, name: str) -> ShardedQueryEngine:
+        """The router serving a published model, reloaded when the model is
+        republished.
 
-        Every model serves through a :class:`ShardedQueryEngine` router.
-        Sharded models (``record.shards`` set) load through
-        :class:`ShardedModelStore`, and this returns their router; a
-        single-file model is a one-shard router, and this returns that
-        shard's :class:`QueryEngine`, which holds the model's decomposition.
-        Both answer byte-identically, so clients cannot tell (and need not
-        care) which format backs a model.
-
-        The cached engine is validated against the store's current metadata on
-        every access (one small JSON read), so ``repro decompose --save-model``
-        over an existing name takes effect without restarting the server.
-        A model deleted mid-request surfaces as 404, not a dropped connection.
+        The cached router is validated against the store's current metadata
+        on every access (one small JSON read), so ``repro decompose
+        --save-model`` over an existing name takes effect without restarting
+        the server.  A model deleted mid-request surfaces as 404, not a
+        dropped connection.
         """
-        _, router, record = self._resolve(name)
-        return router.engines[0] if record.shards is None else router
+        return self._resolve(name)[1]
 
     def _resolve(self, name: str
                  ) -> Tuple[Tuple[object, ...], ShardedQueryEngine, object]:
@@ -258,21 +252,15 @@ class ServingApp:
             if self.dtype is not None:
                 worker_options.setdefault("dtype", self.dtype)
             try:
-                if record.shards is not None and self.workers:
+                if self.workers:
                     engine: ShardedQueryEngine = WorkerShardedQueryEngine(
-                        ShardedModelStore(self.store.directory), name,
-                        kernel=self.kernel, degraded=self.degraded,
-                        **worker_options)
-                elif record.shards is not None:
-                    shards, manifest = ShardedModelStore(
-                        self.store.directory).load_shards(name)
+                        self.store, name, kernel=self.kernel,
+                        degraded=self.degraded, **worker_options)
+                else:
+                    shards, manifest = self.store.load_shards(name)
                     engine = ShardedQueryEngine(
                         shards, row_ranges=manifest.row_ranges,
                         kernel=self.kernel)
-                else:
-                    decomposition, _ = self.store.load(name)
-                    engine = ShardedQueryEngine([decomposition],
-                                                kernel=self.kernel)
             except (ModelStoreError, OSError, BadZipFile, KeyError,
                     ValueError, WorkerError) as error:
                 # Covers readers racing a delete (metadata read above,
@@ -478,9 +466,7 @@ class ServingApp:
         serving: Dict[str, object] = {}
         degraded = False
         for name, (_, engine, record) in sorted(cached.items()):
-            backend = ("in-process" if record.shards is None
-                       else "workers" if self.workers
-                       else "sharded-threads")
+            backend = "workers" if self.workers else "sharded-threads"
             entry: Dict[str, object] = {
                 "generation": record.generation,
                 "shards": record.shards,

@@ -10,12 +10,11 @@ that grows with users — while replicating the item-side factors (``Sigma``,
 * :class:`ShardPlanner` — splits a fitted decomposition into contiguous
   row-range shards of ``U`` (each shard is itself a complete, self-describing
   :class:`~repro.core.result.IntervalDecomposition`);
-* :class:`ShardedModelStore` — publishes the shards as generation-versioned
-  per-shard NPZ archives (``<name>.shard-NN-<gen>.npz``) next to the
-  single-file format, each written atomically and the metadata last, with
-  per-shard content fingerprints verified on load; a reshard publishes a
-  fresh generation and swaps the manifest atomically, so live republish is
-  hitless;
+* :class:`ShardedModelStore` — publishes every model as ``N >= 1``
+  generation-versioned per-shard NPZ archives (``<name>.shard-NN-<gen>.npz``),
+  each written atomically and the manifest last, with per-shard content
+  fingerprints verified on load; a republish writes a fresh generation and
+  swaps the manifest atomically, so live republish is hitless;
 * :class:`ShardedQueryEngine` — the one scatter-gather router, with the
   same query API as :class:`~repro.serve.query.QueryEngine`: it answers
   item-space queries from its one shared fold-in projector, *scatters*
@@ -40,6 +39,7 @@ shard counts, ranks and tie-heavy inputs (``tests/test_serve_shard.py``).
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import json
 import logging
 import operator
@@ -224,7 +224,7 @@ def merge_shards(shards: Sequence[IntervalDecomposition]) -> IntervalDecompositi
 
 @dataclass(frozen=True)
 class ShardManifest:
-    """Shard-level metadata of one sharded model, from its JSON sidecar."""
+    """Shard-level metadata of one published model, from its JSON manifest."""
 
     record: ModelRecord
     """The base model record (``record.shards`` is the shard count)."""
@@ -232,12 +232,12 @@ class ShardManifest:
     row_ranges: RowRanges
     """``(start, stop)`` row range of each shard, in shard order."""
 
-    fingerprints: Optional[Tuple[str, ...]]
+    fingerprints: Tuple[str, ...]
     """Per-shard :func:`repro.io.decomposition_fingerprint` values recorded
-    at publish time (``None`` for manifests written without them)."""
+    at publish time."""
 
     def to_payload(self) -> Dict[str, object]:
-        """The manifest as the JSON payload its sidecar file holds.
+        """The manifest as the JSON payload its file holds.
 
         Round-trips through :meth:`ShardedModelStore.manifest_from_payload`,
         which is how a supervisor ships the exact manifest it planned
@@ -245,38 +245,37 @@ class ShardManifest:
         generation even after the on-disk manifest has moved on."""
         payload = self.record.to_dict()
         payload["row_ranges"] = [list(row_range) for row_range in self.row_ranges]
-        if self.fingerprints is not None:
-            payload["shard_fingerprints"] = list(self.fingerprints)
+        payload["shard_fingerprints"] = list(self.fingerprints)
         return payload
 
 
 class ShardedModelStore(ModelStore):
-    """A :class:`ModelStore` that also publishes and loads sharded models.
+    """A :class:`ModelStore` that publishes and loads models.
 
-    Shares the directory (and every read path) with the base store; adds the
-    sharded publish format: ``<name>.shard-NN-<gen>.npz`` row-range archives
-    plus a ``<name>.json`` manifest carrying the shard count, the publish
+    Shares the directory (and every read path) with the base store; adds
+    the publish path: ``<name>.shard-NN-<gen>.npz`` row-range archives plus
+    a ``<name>.json`` manifest carrying the shard count, the publish
     *generation*, the row ranges, and a content fingerprint per shard.
     Shard files are written first (each individually atomic), the manifest
-    last.
+    last.  A one-shard model is the smallest case of the same layout.
 
     **Republish semantics — hitless by generation versioning.**  A fresh
     publish under a new name is invisible until its manifest lands.
-    Republishing an *existing* sharded name writes a complete new set of
-    archives under the *next generation number* — it never touches the files
-    the current manifest references — and then swaps the manifest
-    atomically.  A reader therefore always loads a self-consistent
-    generation: whichever manifest it read names exactly the files that
-    publish wrote, and those files are still on disk (the previous
-    generation is deliberately kept through the swap, covering readers that
-    fetched the old manifest moments before it was replaced).  The
-    superseded generation is garbage-collected *after drain*: by the next
-    publish, or explicitly via :meth:`gc_shard_generations` once no reader
-    can still hold its manifest.  Per-shard fingerprints are still recorded
-    and re-verified on load, so even a hand-damaged store fails loudly
-    rather than serving mixed rows.  Manifests written by earlier releases
-    (no ``generation`` field) keep loading from the legacy unversioned
-    paths.
+    Republishing an *existing* name writes a complete new set of archives
+    under the *next generation number* — it never touches the files the
+    current manifest references — and then swaps the manifest atomically.
+    A reader therefore always loads a self-consistent generation: whichever
+    manifest it read names exactly the files that publish wrote, and those
+    files are still on disk (the previous generation is deliberately kept
+    through the swap, covering readers that fetched the old manifest
+    moments before it was replaced).  The superseded generation is
+    garbage-collected *after drain*: by the next publish, or explicitly via
+    :meth:`gc_shard_generations` once no reader can still hold its
+    manifest.  Publishes into one store directory are serialized (an
+    exclusive ``flock`` on the directory), so concurrent publishers of one
+    name cannot both claim a generation or collect each other's files.
+    Per-shard fingerprints are re-verified on every load, so even a
+    hand-damaged store fails loudly rather than serving mixed rows.
     """
 
     def save_sharded(
@@ -289,123 +288,103 @@ class ShardedModelStore(ModelStore):
         generation: Optional[int] = None,
     ) -> ModelRecord:
         """Split ``decomposition`` into ``n_shards`` row-range shards and
-        publish them under ``name`` (replacing any existing model, hitlessly
-        when the existing model is sharded).
+        publish them under ``name`` (hitlessly replacing any existing model).
 
-        ``matrix`` / ``fingerprint`` record the training data exactly as in
-        :meth:`ModelStore.save`.  ``generation`` overrides the published
-        generation number — it must be greater than the current one; by
-        default the current generation + 1 (or 1 for a fresh name).  Returns
-        the published record (``record.shards == n_shards``,
-        ``record.generation`` set).
+        ``matrix`` (or a precomputed ``fingerprint``) records which data the
+        model was fitted on, so consumers can detect stale models.
+        ``generation`` overrides the published generation number — it must
+        be greater than the current one; by default the current generation
+        + 1 (or 1 for a fresh name).  Returns the published record.
         """
-        self.check_publish_name(name)
+        self.check_name(name)
         planner = ShardPlanner(n_shards)
         shards = planner.split(decomposition)
         row_ranges = planner.plan(int(decomposition.shape[0]))
-        # The generation this name currently serves (None when the name is
-        # fresh, single-file, or a legacy unversioned sharded publish).
-        previous_sharded = False
-        previous_generation: Optional[int] = None
-        try:
-            existing = self.record(name)
-        except (ModelStoreError, OSError):
-            existing = None
-        if existing is not None and existing.shards is not None:
-            previous_sharded = True
-            previous_generation = existing.generation
-        if generation is None:
-            generation = (previous_generation or 0) + 1
-        elif generation < 1:
-            raise ModelStoreError(f"shard generation must be >= 1, got {generation}")
-        elif previous_generation is not None and generation <= previous_generation:
-            raise ModelStoreError(
-                f"cannot publish {name!r} at generation {generation}: the "
-                f"store already serves generation {previous_generation}, and "
-                "readers cache engines keyed on monotonically increasing "
-                "generations"
-            )
-        for index in range(n_shards):
-            # A legacy model literally named like this shard's archive stem
-            # (published before that suffix was reserved) owns the path;
-            # overwriting it would silently corrupt that model.
-            squatter = self._shard_path(name, index, generation).name[: -len(".npz")]
-            if self._meta_path(squatter).exists():
-                raise ModelStoreError(
-                    f"cannot publish {name!r} with {n_shards} shards: a "
-                    f"model named {squatter!r} already owns the file "
-                    f"{self._shard_path(name, index, generation).name}; "
-                    "delete or rename it first"
-                )
-        self.directory.mkdir(parents=True, exist_ok=True)
         if fingerprint is None and matrix is not None:
             fingerprint = repro_io.interval_fingerprint(matrix)
-        shard_fingerprints = []
-        for index, shard in enumerate(shards):
-            with repro_io.atomic_write(self._shard_path(name, index, generation)) as tmp:
-                repro_io.save_decomposition_npz(shard, tmp)
-            shard_fingerprints.append(repro_io.decomposition_fingerprint(shard))
-        record = ModelRecord(
-            name=name,
-            method=decomposition.method,
-            target=decomposition.target.value,
-            rank=decomposition.rank,
-            shape=tuple(int(n) for n in decomposition.shape),
-            fingerprint=fingerprint,
-            created_at=time.time(),
-            shards=n_shards,
-            generation=generation,
-            dtype=decomposition.dtype.name,
-        )
-        payload = record.to_dict()
-        payload["row_ranges"] = [list(row_range) for row_range in row_ranges]
-        payload["shard_fingerprints"] = shard_fingerprints
-        with repro_io.atomic_write(self._meta_path(name)) as tmp:
-            tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        # GC everything except the generation just published and the one it
-        # replaced — the previous generation stays on disk through the swap
-        # so a reader holding the just-replaced manifest can still open the
-        # files it names (POSIX keeps already-open files alive regardless).
-        # The next publish, or gc_shard_generations(), collects it.
-        keep: Dict[Optional[int], Optional[int]] = {generation: n_shards}
-        if previous_sharded:
-            keep.setdefault(previous_generation, None)
-        self._remove_stale_shards(name, keep=keep)
-        with contextlib.suppress(FileNotFoundError):  # racing republishers
-            self._npz_path(name).unlink()
+        self.directory.mkdir(parents=True, exist_ok=True)
+        with self._publish_lock():
+            try:
+                previous = self.record(name).generation
+            except (ModelStoreError, OSError):
+                previous = 0  # a fresh name (or a damaged manifest)
+            if generation is not None and generation <= previous:
+                raise ModelStoreError(
+                    f"cannot publish {name!r} at generation {generation}: "
+                    f"generations must exceed {previous}, the one the store "
+                    "serves, because readers cache engines keyed on "
+                    "monotonically increasing generations"
+                )
+            generation = generation or previous + 1
+            shard_fingerprints = []
+            for index, shard in enumerate(shards):
+                with repro_io.atomic_write(
+                        self._shard_path(name, index, generation)) as tmp:
+                    repro_io.save_decomposition_npz(shard, tmp)
+                shard_fingerprints.append(repro_io.decomposition_fingerprint(shard))
+            record = ModelRecord(
+                name=name,
+                method=decomposition.method,
+                target=decomposition.target.value,
+                rank=decomposition.rank,
+                shape=tuple(int(n) for n in decomposition.shape),
+                fingerprint=fingerprint,
+                created_at=time.time(),
+                shards=n_shards,
+                generation=generation,
+                dtype=decomposition.dtype.name,
+            )
+            manifest = ShardManifest(record, row_ranges, tuple(shard_fingerprints))
+            with repro_io.atomic_write(self._meta_path(name)) as tmp:
+                tmp.write_text(json.dumps(manifest.to_payload(), indent=2,
+                                          sort_keys=True) + "\n")
+            # GC everything except the generation just published and the one
+            # it replaced — the previous generation stays on disk through the
+            # swap so a reader holding the just-replaced manifest can still
+            # open the files it names (POSIX keeps already-open files alive
+            # regardless).  The next publish, or gc_shard_generations(),
+            # collects it.
+            self._remove_stale_shards(
+                name, keep={generation: n_shards, previous: None})
         logger.info("published %r generation %d (%d shards, %d rows)",
                     name, generation, n_shards, record.shape[0])
         return record
+
+    @contextlib.contextmanager
+    def _publish_lock(self):
+        """Hold an exclusive ``flock`` on the store directory (threads and
+        processes alike)."""
+        descriptor = os.open(self.directory, os.O_RDONLY)
+        try:
+            fcntl.flock(descriptor, fcntl.LOCK_EX)
+            yield
+        finally:
+            os.close(descriptor)  # closing the descriptor releases the lock
 
     def gc_shard_generations(self, name: str) -> int:
         """Garbage-collect shard archives of superseded generations.
 
         Removes every shard file of ``name`` that the current manifest does
-        not reference (older generations kept through a reshard swap, or
+        not reference (older generations kept through a republish swap, or
         leftovers of interrupted publishes); returns the number of files
         removed.  Call after drain — once no reader can still hold a
         manifest from before the latest publish.  Readers that already
         opened the old files are unaffected (POSIX unlink semantics).
         """
-        manifest = self.manifest(name)
-        record = manifest.record
-        stale = [
-            path for _, gen, path in self._owned_shard_paths(name)
-            if gen != record.generation
-        ]
-        self._remove_stale_shards(
+        record = self.record(name)
+        removed = self._remove_stale_shards(
             name, keep={record.generation: record.shards})
-        if stale:
+        if removed:
             logger.info("collected %d stale shard file(s) of %r "
-                        "(serving generation %s)",
-                        len(stale), name, record.generation)
-        return len(stale)
+                        "(serving generation %d)",
+                        removed, name, record.generation)
+        return removed
 
     def manifest(self, name: str) -> ShardManifest:
-        """Shard-level metadata of one published sharded model.
+        """Shard-level metadata of one published model.
 
-        Record and shard layout are parsed from a *single* sidecar read, so
-        a concurrent republish can never mix one publish's record with
+        Record and shard layout are parsed from a *single* manifest read,
+        so a concurrent republish can never mix one publish's record with
         another's row ranges or fingerprints.
         """
         return self.manifest_from_payload(name, self._read_meta(name))
@@ -416,72 +395,54 @@ class ShardedModelStore(ModelStore):
         :meth:`ShardManifest.to_payload`).
 
         Used by shard workers, which receive the supervisor's pinned
-        manifest instead of re-reading the sidecar: the sidecar may already
+        manifest instead of re-reading the file: the file may already
         describe a *newer* generation whose layout the supervisor never
         planned against."""
         record = self._record_from_payload(name, payload)
-        if record.shards is None:
+        try:
+            row_ranges = tuple((int(a), int(b)) for a, b in payload["row_ranges"])
+            fingerprints = tuple(str(f) for f in payload["shard_fingerprints"])
+        except (KeyError, TypeError, ValueError) as error:
             raise ModelStoreError(
-                f"model {name!r} is a single-file model, not a sharded one"
-            )
-        raw_ranges = payload.get("row_ranges")
-        if raw_ranges is None:
-            # Manifests are written with explicit ranges, but the split is
-            # deterministic, so a hand-written manifest can omit them.
-            row_ranges = plan_row_ranges(record.shape[0], record.shards)
-        else:
-            try:
-                row_ranges = tuple((int(a), int(b)) for a, b in raw_ranges)
-            except (TypeError, ValueError) as error:
-                raise ModelStoreError(
-                    f"manifest of {name!r} has malformed row_ranges: {error}"
-                ) from error
-        raw_fingerprints = payload.get("shard_fingerprints")
-        fingerprints = (None if raw_fingerprints is None
-                        else tuple(str(f) for f in raw_fingerprints))
-        if len(row_ranges) != record.shards:
+                f"manifest of {name!r} has malformed row_ranges or "
+                f"shard_fingerprints: {error!r}"
+            ) from error
+        if not len(row_ranges) == len(fingerprints) == record.shards:
             raise ModelStoreError(
                 f"manifest of {name!r} is inconsistent: {record.shards} shards "
-                f"but {len(row_ranges)} row ranges"
-            )
-        if fingerprints is not None and len(fingerprints) != record.shards:
-            raise ModelStoreError(
-                f"manifest of {name!r} is inconsistent: {record.shards} shards "
-                f"but {len(fingerprints)} shard fingerprints"
+                f"but {len(row_ranges)} row ranges and {len(fingerprints)} "
+                "shard fingerprints"
             )
         return ShardManifest(record=record, row_ranges=row_ranges,
                              fingerprints=fingerprints)
 
     def load_shards(
-        self, name: str, verify: bool = True,
+        self, name: str,
     ) -> Tuple[List[IntervalDecomposition], ShardManifest]:
-        """Load every row-range shard of a sharded model, in shard order.
+        """Load every row-range shard of a model, in shard order.
 
-        With ``verify=True`` (the default) each shard's content hash is
-        checked against the fingerprint recorded at publish time, so a shard
-        file that was swapped between models, truncated, or otherwise
-        corrupted raises :class:`ModelStoreError` instead of silently serving
-        the wrong rows.
+        Each shard's content hash is checked against the fingerprint
+        recorded at publish time, so a shard file that was swapped between
+        models, truncated, or otherwise corrupted raises
+        :class:`ModelStoreError` instead of silently serving the wrong rows.
         """
         manifest = self.manifest(name)
-        shards = [
-            self._load_one_shard(name, manifest, index, verify=verify)
-            for index in range(manifest.record.shards)
-        ]
+        shards = [self._load_one_shard(name, manifest, index)
+                  for index in range(manifest.record.shards)]
         return shards, manifest
 
     def load_shard(
         self, name: str, index: int,
-        manifest: Optional[ShardManifest] = None, verify: bool = True,
+        manifest: Optional[ShardManifest] = None,
     ) -> Tuple[IntervalDecomposition, ShardManifest]:
-        """Load a single row-range shard of a sharded model.
+        """Load a single row-range shard of a model.
 
         What a shard *worker process* loads at startup: one shard's factors,
         never the whole model.  ``manifest`` pins the generation to load —
         pass the manifest the supervisor planned against so a reshard racing
         the worker start yields a loud generation mismatch (the supervisor
         respawns against the fresh manifest) instead of a silently mixed
-        model.  Verification semantics match :meth:`load_shards`.
+        model.  Verification matches :meth:`load_shards`.
         """
         if manifest is None:
             manifest = self.manifest(name)
@@ -490,10 +451,10 @@ class ShardedModelStore(ModelStore):
                 f"model {name!r} has {manifest.record.shards} shards; "
                 f"shard {index} does not exist"
             )
-        return self._load_one_shard(name, manifest, index, verify=verify), manifest
+        return self._load_one_shard(name, manifest, index), manifest
 
-    def _load_one_shard(self, name: str, manifest: ShardManifest, index: int,
-                        verify: bool = True) -> IntervalDecomposition:
+    def _load_one_shard(self, name: str, manifest: ShardManifest,
+                        index: int) -> IntervalDecomposition:
         start, stop = manifest.row_ranges[index]
         path = self._shard_path(name, index, manifest.record.generation)
         try:
@@ -521,26 +482,17 @@ class ShardedModelStore(ModelStore):
                 f"but the manifest records dtype {manifest.record.dtype!r}; "
                 "refusing to mix precisions within one model"
             )
-        if verify and manifest.fingerprints is not None:
-            actual = repro_io.decomposition_fingerprint(shard)
-            if actual != manifest.fingerprints[index]:
-                raise ModelStoreError(
-                    f"shard {index} of {name!r} does not match its "
-                    "published fingerprint (swapped or corrupted shard "
-                    "file?)"
-                )
+        if repro_io.decomposition_fingerprint(shard) != manifest.fingerprints[index]:
+            raise ModelStoreError(
+                f"shard {index} of {name!r} does not match its "
+                "published fingerprint (swapped or corrupted shard file?)"
+            )
         return shard
 
     def load_merged(self, name: str) -> Tuple[IntervalDecomposition, ModelRecord]:
-        """Load any model — sharded or single-file — as one decomposition.
-
-        Sharded models are reassembled with :func:`merge_shards`; single-file
-        models delegate to :meth:`ModelStore.load`.  The tool path for
-        resharding (``repro shard``) and offline analysis.
-        """
-        record = self.record(name)
-        if record.shards is None:
-            return self.load(name)
+        """Load a model as one decomposition, its shards reassembled with
+        :func:`merge_shards`.  The tool path for resharding (``repro
+        shard``) and offline analysis."""
         shards, manifest = self.load_shards(name)
         return merge_shards(shards), manifest.record
 
@@ -686,7 +638,7 @@ class ShardedQueryEngine:
     ----------
     shards:
         Per-shard decompositions in row order, e.g. from
-        :meth:`ShardPlanner.split` or :meth:`ShardedModelStore.load_shards`.
+        :meth:`ShardPlanner.split` or a store's ``load_shards``.
     row_ranges:
         The ``(start, stop)`` global row range of each shard.  Defaults to
         contiguous ranges derived from the shard row counts; pass the

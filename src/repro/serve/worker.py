@@ -7,7 +7,7 @@ whole service down.  This module moves each row-range shard into its own
 **worker process**:
 
 * :func:`worker_main` — the ``python -m repro.serve.worker`` entry point: it
-  loads exactly one shard (:meth:`ShardedModelStore.load_shard`), connects
+  loads exactly one shard (the store's ``load_shard``), connects
   back to the supervisor over localhost TCP, and answers request frames
   until end-of-stream.  The wire format is the length-prefixed npy framing
   of :mod:`repro.serve.protocol` — no pickle in either direction;
@@ -150,7 +150,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
                     "supervisor; not intended for interactive use)",
     )
     parser.add_argument("--store", required=True, help="model store directory")
-    parser.add_argument("--model", required=True, help="sharded model name")
+    parser.add_argument("--model", required=True, help="model name")
     parser.add_argument("--shard", required=True, type=int, help="shard index")
     parser.add_argument("--connect-port", required=True, type=int,
                         help="supervisor's localhost connect-back port")
@@ -271,7 +271,7 @@ class WorkerHandle:
 
     def __init__(self, shard: int, process: subprocess.Popen,
                  connection: socket.socket, stream,
-                 generation: Optional[int]):
+                 generation: int):
         self.shard = shard
         self.process = process
         self.connection = connection

@@ -15,7 +15,7 @@ from strategies import random_matrix
 
 from repro.cli import main
 from repro.core.isvd import isvd
-from repro.serve.store import ModelStore
+from repro.serve.shard import ShardedModelStore
 
 MATRIX_PARAMS = (20, 14, 0.5, 11)
 RANK = 4
@@ -49,7 +49,7 @@ class TestDecomposeDtype:
         capsys.readouterr()
         sidecar = json.loads((store / "m32.json").read_text())
         assert sidecar["dtype"] == "float32"
-        decomposition, record = ModelStore(store).load("m32")
+        decomposition, record = ShardedModelStore(store).load_merged("m32")
         assert record.dtype == "float32"
         assert decomposition.dtype == np.float32
 

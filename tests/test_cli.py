@@ -241,6 +241,8 @@ class TestServingCommands:
         assert [r.name for r in records] == ["m1"]
         assert records[0].method == "ISVD4" and records[0].rank == 3
         assert records[0].fingerprint == repro_io.interval_fingerprint(matrix)
+        # Without --shards the model is published as one row-range shard.
+        assert (records[0].shards, records[0].generation) == (1, 1)
 
     def test_save_model_invalid_name_exits(self, matrix_csv, tmp_path):
         path, _ = matrix_csv
@@ -253,6 +255,8 @@ class TestServingCommands:
         assert main(["models", "--store", str(store)]) == 0
         out = capsys.readouterr().out
         assert "m1" in out and "ISVD4" in out
+        row = next(line for line in out.splitlines() if "m1" in line)
+        assert row.split()[5:7] == ["1", "1"]  # shards, gen
 
     def test_models_empty_store(self, tmp_path, capsys):
         assert main(["models", "--store", str(tmp_path / "empty")]) == 0
@@ -304,7 +308,7 @@ class TestServingCommands:
 
     def test_query_round_trip_against_live_server(self, published, matrix_csv, capsys):
         from repro.serve import QueryEngine, create_server
-        from repro.serve.store import ModelStore
+        from repro.serve.shard import ShardedModelStore
 
         store, matrix = published
         path, _ = matrix_csv
@@ -318,7 +322,7 @@ class TestServingCommands:
             server.stop()
         assert exit_code == 0
         payload = json.loads(capsys.readouterr().out)
-        decomposition, _ = ModelStore(store).load("m1")
+        decomposition, _ = ShardedModelStore(store).load_merged("m1")
         expected = QueryEngine(decomposition).top_k_items(matrix, 3)
         assert payload["items"] == expected.indices.tolist()
         assert payload["scores"] == expected.scores.tolist()

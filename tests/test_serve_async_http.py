@@ -31,7 +31,6 @@ from repro.interval.random import random_interval_matrix
 from repro.serve.async_http import AsyncServingServer, create_server
 from repro.serve.http import RequestError, ServingApp
 from repro.serve.shard import ShardedModelStore
-from repro.serve.store import ModelStore
 
 
 def _request(address, method, path, payload=None):
@@ -74,8 +73,8 @@ def _in_process(app, method, path, payload=None):
 def served(tmp_path_factory, model_matrix):
     """A started server and an in-process app over one shared store."""
     matrix, decomposition = model_matrix
-    store = ModelStore(tmp_path_factory.mktemp("store"))
-    store.save("m1", decomposition, matrix=matrix)
+    store = ShardedModelStore(tmp_path_factory.mktemp("store"))
+    store.save_sharded("m1", decomposition, 1, matrix=matrix)
 
     app = ServingApp(store)
     server = create_server(store, port=0, max_batch=8, batch_delay=0.001)
@@ -284,9 +283,9 @@ class TestProtocolErrors:
 class TestStatusLinesAndLogging:
     def test_dtype_pin_refusal_is_409_conflict(self, tmp_path, model_matrix):
         matrix, _ = model_matrix
-        store = ModelStore(tmp_path / "models")
-        store.save("m32", isvd(matrix, 5, method="isvd4", target="b",
-                               dtype="float32"), matrix=matrix)
+        store = ShardedModelStore(tmp_path / "models")
+        store.save_sharded("m32", isvd(matrix, 5, method="isvd4", target="b",
+                                       dtype="float32"), 1, matrix=matrix)
         server = create_server(store, port=0, dtype="float64")
         address = server.start_background()
         body = json.dumps({"model": "m32", "k": 2,
@@ -359,8 +358,8 @@ class TestSlowClientsDoNotStarveHealthyOnes:
     def test_healthy_throughput_survives_a_crowd_of_slow_clients(
             self, tmp_path, model_matrix):
         matrix, decomposition = model_matrix
-        store = ModelStore(tmp_path / "models")
-        store.save("m1", decomposition, matrix=matrix)
+        store = ShardedModelStore(tmp_path / "models")
+        store.save_sharded("m1", decomposition, 1, matrix=matrix)
         # A small executor: if slow clients reached it, 8 of them would
         # hold all 4 threads and no healthy request could be answered.
         server = AsyncServingServer(

@@ -19,7 +19,7 @@ from repro.interval.random import random_interval_matrix
 from repro.serve.async_http import create_server
 from repro.serve.http import ServingApp, rows_from_payload
 from repro.serve.query import QueryEngine
-from repro.serve.store import ModelStore
+from repro.serve.shard import ShardedModelStore
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +30,8 @@ def served():
     import tempfile
 
     with tempfile.TemporaryDirectory() as directory:
-        store = ModelStore(directory)
-        store.save("m1", decomposition, matrix=matrix)
+        store = ShardedModelStore(directory)
+        store.save_sharded("m1", decomposition, 1, matrix=matrix)
         server = create_server(store, port=0, max_batch=8, batch_delay=0.01)
         host, port = server.start_background()
         try:
@@ -246,18 +246,18 @@ class TestErrorHandling:
 class TestServingAppLifecycle:
     @pytest.fixture
     def app(self, tmp_path, small_interval_matrix):
-        store = ModelStore(tmp_path / "store")
+        store = ShardedModelStore(tmp_path / "store")
         decomposition = registry.get("isvd4").fit(small_interval_matrix, 4, target="b")
-        store.save("m", decomposition, matrix=small_interval_matrix)
+        store.save_sharded("m", decomposition, 1, matrix=small_interval_matrix)
         return ServingApp(store), small_interval_matrix
 
     def test_republished_model_served_without_restart(self, app, small_interval_matrix):
         serving, matrix = app
-        assert serving.engine("m").decomposition.rank == 4
+        assert serving.engine("m").engines[0].decomposition.rank == 4
         other = registry.get("isvd0").fit(matrix, 3, target="c")
-        serving.store.save("m", other, matrix=matrix)
+        serving.store.save_sharded("m", other, 1, matrix=matrix)
         # The engine cache revalidates against the store metadata per access.
-        assert serving.engine("m").decomposition.rank == 3
+        assert serving.engine("m").engines[0].decomposition.rank == 3
 
     def test_half_deleted_model_is_request_error_not_crash(self, app):
         serving, matrix = app
@@ -265,7 +265,7 @@ class TestServingAppLifecycle:
         # Simulate a reader racing a delete: metadata survives, factors gone,
         # and the republish-detection forces a reload attempt.
         serving._engines.clear()
-        (serving.store.directory / "m.npz").unlink()
+        serving.store._shard_path("m", 0, 1).unlink()
         from repro.serve.http import RequestError
 
         with pytest.raises(RequestError) as excinfo:
@@ -296,8 +296,8 @@ class TestServingAppLifecycle:
         decomposition = IntervalDecomposition(
             u=np.ones((3, 2)), sigma=np.eye(2), v=v, target="c", method="stub", rank=2,
         )
-        store = ModelStore(tmp_path / "tied")
-        store.save("tied", decomposition)
+        store = ShardedModelStore(tmp_path / "tied")
+        store.save_sharded("tied", decomposition, 1)
         serving = ServingApp(store)
         engine = serving.engine("tied")
 
@@ -320,7 +320,7 @@ class TestOneStoreReadPerRequest:
         # The request resolves (and width-checks against) one engine
         # version; its micro-batch runs on that engine instead of
         # re-reading the store.
-        class CountingStore(ModelStore):
+        class CountingStore(ShardedModelStore):
             calls = 0
 
             def record(self, name):
@@ -329,8 +329,8 @@ class TestOneStoreReadPerRequest:
 
         matrix = small_interval_matrix
         store = CountingStore(tmp_path / "store")
-        store.save("m", registry.get("isvd4").fit(matrix, 4, target="b"),
-                   matrix=matrix)
+        store.save_sharded("m", registry.get("isvd4").fit(matrix, 4, target="b"),
+                           1, matrix=matrix)
         batched = ServingApp(store, batch_delay=0.0)
         unbatched = ServingApp(store, max_batch=1)
         payloads = [{"model": "m", "k": 3,
@@ -365,7 +365,7 @@ class TestPayloadParsing:
             rows_from_payload({"lower": [[1.0]]})
 
     def test_in_process_app_requires_model_name(self, tmp_path):
-        app = ServingApp(ModelStore(tmp_path))
+        app = ServingApp(ShardedModelStore(tmp_path))
         from repro.serve.http import RequestError
 
         with pytest.raises(RequestError, match="model"):

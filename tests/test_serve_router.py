@@ -1,7 +1,7 @@
 """Edge cases of the one scatter-gather router, against every backend.
 
-:class:`~repro.serve.shard.ShardedQueryEngine` serves single-file models as
-one in-process shard, sharded models over in-process shards, and — through
+:class:`~repro.serve.shard.ShardedQueryEngine` serves a model as one
+in-process shard, over several in-process shards, and — through
 :class:`~repro.serve.worker.WorkerShardedQueryEngine` — over worker
 processes.  On inputs at the edges of the query API (``k`` below 1 or
 above the candidate count, empty batches, negative and out-of-range user

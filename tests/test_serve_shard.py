@@ -307,8 +307,6 @@ class TestShardedModelStore:
         assert [r.name for r in plain.list()] == ["m"]
         assert plain.list()[0].shards == 2
         assert plain.exists("m")
-        with pytest.raises(ModelStoreError, match="sharded"):
-            plain.load("m")
 
     def test_missing_shard_file_hides_and_fails_model(self, tmp_path, fitted):
         _, decomposition = fitted
@@ -331,18 +329,6 @@ class TestShardedModelStore:
         a.rename(tmp), b.rename(a), tmp.rename(b)
         with pytest.raises(ModelStoreError, match="fingerprint"):
             store.load_shards("m")
-        # Opting out of verification loads whatever is on disk.
-        shards, _ = store.load_shards("m", verify=False)
-        assert len(shards) == 3
-
-    def test_republish_single_file_removes_stale_shards(self, tmp_path, fitted):
-        matrix, decomposition = fitted
-        store = ShardedModelStore(tmp_path / "models")
-        store.save_sharded("m", decomposition, 4, matrix=matrix)
-        store.save("m", decomposition, matrix=matrix)
-        files = sorted(p.name for p in store.directory.iterdir())
-        assert files == ["m.json", "m.npz"]
-        assert store.record("m").shards is None
 
     def test_republish_bumps_generation_and_keeps_previous_until_gc(
             self, tmp_path, fitted):
@@ -387,40 +373,6 @@ class TestShardedModelStore:
             store.save_sharded("m", decomposition, 2, generation=3)
         assert store.save_sharded("m", decomposition, 2).generation == 8
 
-    def test_legacy_unversioned_manifest_still_loads(self, tmp_path, fitted):
-        # Manifests written before generation versioning name unversioned
-        # shard files and carry no 'generation' key.
-        _, decomposition = fitted
-        store = ShardedModelStore(tmp_path / "models")
-        record = store.save_sharded("m", decomposition, 2)
-        payload = json.loads(store._meta_path("m").read_text())
-        del payload["generation"]
-        for index in range(2):
-            store._shard_path("m", index, record.generation).rename(
-                store._shard_path("m", index))
-        store._meta_path("m").write_text(json.dumps(payload))
-        assert store.record("m").generation is None
-        assert store.exists("m")
-        shards, manifest = store.load_shards("m")
-        assert len(shards) == 2 and manifest.record.generation is None
-        # Republishing a legacy model starts the generation clock at 1 and
-        # keeps the legacy files for in-flight readers until the next GC.
-        republished = store.save_sharded("m", decomposition, 2)
-        assert republished.generation == 1
-        names = {p.name for p in store.directory.iterdir()}
-        assert "m.shard-00.npz" in names and "m.shard-00-001.npz" in names
-        store.gc_shard_generations("m")
-        names = {p.name for p in store.directory.iterdir()}
-        assert "m.shard-00.npz" not in names
-
-    def test_republish_sharded_removes_single_file(self, tmp_path, fitted):
-        matrix, decomposition = fitted
-        store = ShardedModelStore(tmp_path / "models")
-        store.save("m", decomposition, matrix=matrix)
-        store.save_sharded("m", decomposition, 2, matrix=matrix)
-        files = sorted(p.name for p in store.directory.iterdir())
-        assert files == ["m.json", "m.shard-00-001.npz", "m.shard-01-001.npz"]
-
     def test_delete_removes_manifest_and_all_shards(self, tmp_path, fitted):
         _, decomposition = fitted
         store = ShardedModelStore(tmp_path / "models")
@@ -455,61 +407,25 @@ class TestShardedModelStore:
     def test_directory_squatting_on_sidecar_path_is_not_a_model(self, tmp_path, fitted):
         matrix, decomposition = fitted
         store = ShardedModelStore(tmp_path / "models")
-        store.save("real", decomposition, matrix=matrix)
+        store.save_sharded("real", decomposition, 1, matrix=matrix)
         (store.directory / "squatter.json").mkdir()
         assert not store.exists("squatter")
         assert [r.name for r in store.list()] == ["real"]
         with pytest.raises(ModelStoreError, match="squatter"):
             store.delete("squatter")
 
-    def test_manifest_of_single_file_model_raises(self, tmp_path, fitted):
-        matrix, decomposition = fitted
+    @pytest.mark.parametrize("key", ["row_ranges", "shard_fingerprints",
+                                     "shards", "generation"])
+    def test_manifest_missing_a_layout_key_raises(self, tmp_path, fitted, key):
+        # Every manifest names its layout in full; none is inferred.
+        _, decomposition = fitted
         store = ShardedModelStore(tmp_path / "models")
-        store.save("m", decomposition, matrix=matrix)
-        with pytest.raises(ModelStoreError, match="single-file"):
-            store.manifest("m")
-
-    def test_shard_suffix_names_are_reserved(self, tmp_path, fitted):
-        # A model literally named 'x.shard-01' would share its archive path
-        # with shard 1 of sharded model 'x'; both stores refuse the name.
-        matrix, decomposition = fitted
-        store = ShardedModelStore(tmp_path / "models")
-        with pytest.raises(ModelStoreError, match="reserved"):
-            store.save("x.shard-01", decomposition, matrix=matrix)
-        with pytest.raises(ModelStoreError, match="reserved"):
-            store.save_sharded("x.shard-00", decomposition, 2)
-
-    def test_legacy_shard_suffix_models_stay_readable_and_deletable(
-            self, tmp_path, fitted):
-        # Stores written before the suffix reservation may hold a model
-        # literally named 'backup.shard-01'; reads and deletion must keep
-        # working, only *publishing* such names is refused.
-        matrix, decomposition = fitted
-        store = ShardedModelStore(tmp_path / "models")
-        store.save("anchor", decomposition, matrix=matrix)
-        legacy = store.record("anchor").to_dict()
-        legacy["name"] = "backup.shard-01"
-        repro_io.save_decomposition_npz(decomposition,
-                                        store.directory / "backup.shard-01.npz")
-        (store.directory / "backup.shard-01.json").write_text(json.dumps(legacy))
-        assert store.exists("backup.shard-01")
-        assert {r.name for r in store.list()} == {"anchor", "backup.shard-01"}
-        loaded, _ = store.load("backup.shard-01")
-        assert loaded.rank == decomposition.rank
-        # Generation-versioned shard archives ('backup.shard-NN-GGG.npz')
-        # never collide with the legacy model's 'backup.shard-01.npz', so
-        # publishing 'backup' sharded now coexists with it — and neither
-        # stale-shard GC nor deleting 'backup' may touch the legacy files.
-        record = store.save_sharded("backup", decomposition, 2)
-        assert record.shards == 2
-        store.gc_shard_generations("backup")
-        assert store.exists("backup.shard-01")
-        loaded, _ = store.load("backup.shard-01")
-        assert loaded.rank == decomposition.rank
-        store.delete("backup")
-        assert store.exists("backup.shard-01")
-        store.delete("backup.shard-01")
-        assert not store.exists("backup.shard-01")
+        store.save_sharded("m", decomposition, 2)
+        payload = json.loads(store._meta_path("m").read_text())
+        del payload[key]
+        store._meta_path("m").write_text(json.dumps(payload))
+        with pytest.raises(ModelStoreError, match=key):
+            store.load_shards("m")
 
     def test_truncated_shard_file_raises_store_error(self, tmp_path, fitted):
         _, decomposition = fitted
@@ -566,9 +482,9 @@ class TestServingAppSharded:
                    "lower": matrix.lower.tolist(), "upper": matrix.upper.tolist()}
         sharded_reply = app.recommend(dict(payload))
 
-        # Republishing single-file swaps the engine type transparently...
-        store.save("m", decomposition, matrix=matrix)
-        assert isinstance(app.engine("m"), QueryEngine)
+        # Republishing as one shard swaps the router transparently...
+        store.save_sharded("m", decomposition, 1, matrix=matrix)
+        assert app.engine("m").n_shards == 1
         # ...and the answers do not change by a single bit.
         assert app.recommend(dict(payload)) == sharded_reply
         assert app.neighbors(dict(payload))["neighbors"] \
@@ -610,9 +526,9 @@ class TestServingAppSingleFlight:
         loads = []
         original = ShardedModelStore.load_shards
 
-        def counting(self, name, verify=True):
+        def counting(self, name):
             loads.append(name)
-            return original(self, name, verify=verify)
+            return original(self, name)
 
         ShardedModelStore.load_shards = counting
         try:
@@ -651,31 +567,14 @@ class TestServingAppDamagedModels:
                            "rows": matrix.midpoint().tolist()})
         assert excinfo.value.status == 404
 
-    def test_truncated_single_file_is_404_not_500(self, tmp_path, fitted):
-        from repro.serve.http import RequestError, ServingApp
-
-        matrix, decomposition = fitted
-        store = ModelStore(tmp_path / "models")
-        store.save("m", decomposition, matrix=matrix)
-        (store.directory / "m.npz").write_bytes(b"garbage")
-        app = ServingApp(store)
-        with pytest.raises(RequestError) as excinfo:
-            app.recommend({"model": "m", "k": 3,
-                           "rows": matrix.midpoint().tolist()})
-        assert excinfo.value.status == 404
-
-
 class TestShardCLI:
-    def _publish(self, tmp_path, fitted, n_shards=None):
+    def _publish(self, tmp_path, fitted, n_shards=1):
         matrix, decomposition = fitted
         store = ShardedModelStore(tmp_path / "models")
-        if n_shards:
-            store.save_sharded("m", decomposition, n_shards, matrix=matrix)
-        else:
-            store.save("m", decomposition, matrix=matrix)
+        store.save_sharded("m", decomposition, n_shards, matrix=matrix)
         return store
 
-    def test_shard_command_splits_a_single_file_model(self, tmp_path, fitted, capsys):
+    def test_shard_command_splits_a_one_shard_model(self, tmp_path, fitted, capsys):
         from repro.cli import main
 
         store = self._publish(tmp_path, fitted)
@@ -688,17 +587,23 @@ class TestShardCLI:
         _, decomposition = fitted
         assert store.record("m").fingerprint is not None
 
-    def test_shard_command_reshards_and_unshards(self, tmp_path, fitted, capsys):
+    def test_shard_command_reshards_down_to_one_shard(self, tmp_path, fitted, capsys):
         from repro.cli import main
 
+        _, decomposition = fitted
         store = self._publish(tmp_path, fitted, n_shards=4)
         assert main(["shard", "m", "--shards", "2",
                      "--store", str(store.directory)]) == 0
         assert store.record("m").shards == 2
-        assert main(["shard", "m", "--shards", "1",
+        # One shard is the same layout at the next generation; --generation
+        # applies at every shard count.
+        assert main(["shard", "m", "--shards", "1", "--generation", "9",
                      "--store", str(store.directory)]) == 0
-        assert store.record("m").shards is None
-        store.load("m")  # single-file again
+        assert "1 row-range shard of U" in capsys.readouterr().out
+        record = store.record("m")
+        assert (record.shards, record.generation) == (1, 9)
+        merged, _ = store.load_merged("m")
+        np.testing.assert_array_equal(merged.u_scalar(), decomposition.u_scalar())
 
     def test_shard_command_as_new_name(self, tmp_path, fitted, capsys):
         from repro.cli import main
@@ -706,7 +611,7 @@ class TestShardCLI:
         store = self._publish(tmp_path, fitted)
         assert main(["shard", "m", "--shards", "2", "--as", "m-sharded",
                      "--store", str(store.directory)]) == 0
-        assert store.record("m").shards is None
+        assert store.record("m").shards == 1
         assert store.record("m-sharded").shards == 2
 
     def test_shard_command_unknown_model_exits(self, tmp_path):
@@ -726,15 +631,15 @@ class TestShardCLI:
         monkeypatch.setattr(
             shard_module.ShardedModelStore, "load_merged",
             lambda self, name: pytest.fail("loaded before name validation"))
-        with pytest.raises(SystemExit, match="reserved"):
-            main(["shard", "m", "--shards", "2", "--as", "bad.shard-01",
+        with pytest.raises(SystemExit, match="invalid model name"):
+            main(["shard", "m", "--shards", "2", "--as", "../bad",
                   "--store", str(store.directory)])
 
     def test_shard_command_corrupt_archive_exits_cleanly(self, tmp_path, fitted):
         from repro.cli import main
 
         store = self._publish(tmp_path, fitted)
-        (store.directory / "m.npz").write_bytes(b"not a zip archive")
+        store._shard_path("m", 0, 1).write_bytes(b"not a zip archive")
         with pytest.raises(SystemExit):
             main(["shard", "m", "--shards", "2",
                   "--store", str(store.directory)])
@@ -762,7 +667,9 @@ class TestShardCLI:
                   "--save-model", "m", "--store", str(tmp_path / "models"),
                   "--shards", str(matrix.shape[0] + 1)])
 
-    def test_decompose_shards_one_means_single_file(self, tmp_path, fitted, capsys):
+    @pytest.mark.parametrize("flags", [[], ["--shards", "1"]])
+    def test_decompose_publishes_one_shard_by_default(
+            self, tmp_path, fitted, capsys, flags):
         from repro.cli import main
 
         matrix, _ = fitted
@@ -771,10 +678,14 @@ class TestShardCLI:
         store_dir = tmp_path / "models"
         assert main(["decompose", "--npz", str(npz), "--rank", "3",
                      "--method", "isvd4", "--save-model", "m",
-                     "--store", str(store_dir), "--shards", "1"]) == 0
+                     "--store", str(store_dir), *flags]) == 0
+        assert "in 1 row-range shard (" in capsys.readouterr().out
         store = ShardedModelStore(store_dir)
-        assert store.record("m").shards is None
-        store.load("m")  # plain single-file load works
+        record = store.record("m")
+        assert (record.shards, record.generation) == (1, 1)
+        assert sorted(p.name for p in store_dir.iterdir()) \
+            == ["m.json", "m.shard-00-001.npz"]
+        store.load_merged("m")
 
     def test_decompose_publishes_sharded(self, tmp_path, fitted, capsys):
         from repro.cli import main

@@ -1,19 +1,37 @@
-"""Tests for the model store (persistence layer of the serving subsystem)."""
+"""Tests for the model store (persistence layer of the serving subsystem).
+
+Scenario tests first, then a model-based test: random sequences of
+publishes (1-4 shards, with and without an explicit generation),
+republishes, deletes and listings over names that share a prefix with
+each other's shard archives, run against a reference model of what the
+directory must hold.
+"""
 
 import json
+import os
+import shutil
+import tempfile
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro import io as repro_io
 from repro.core import registry
+from repro.core.result import IntervalDecomposition
+from repro.interval.array import IntervalMatrix
+from repro.serve.shard import ShardedModelStore
 from repro.serve.store import ModelRecord, ModelStore, ModelStoreError
+
+from strategies import common_settings
 
 
 @pytest.fixture
 def store(tmp_path):
-    return ModelStore(tmp_path / "models")
+    return ShardedModelStore(tmp_path / "models")
 
 
 @pytest.fixture
@@ -25,8 +43,8 @@ def fitted(small_interval_matrix):
 class TestSaveLoad:
     def test_round_trip_preserves_factors_and_metadata(self, store, fitted):
         matrix, decomposition = fitted
-        record = store.save("movies", decomposition, matrix=matrix)
-        loaded, loaded_record = store.load("movies")
+        record = store.save_sharded("movies", decomposition, 1, matrix=matrix)
+        loaded, loaded_record = store.load_merged("movies")
 
         assert loaded_record == record
         assert record.method == "ISVD4"
@@ -41,33 +59,33 @@ class TestSaveLoad:
 
     def test_save_without_matrix_has_no_fingerprint(self, store, fitted):
         _, decomposition = fitted
-        record = store.save("anon", decomposition)
+        record = store.save_sharded("anon", decomposition, 1)
         assert record.fingerprint is None
         assert store.record("anon").fingerprint is None
 
     def test_explicit_fingerprint_wins(self, store, fitted):
         _, decomposition = fitted
-        record = store.save("pinned", decomposition, fingerprint="abc123")
+        record = store.save_sharded("pinned", decomposition, 1, fingerprint="abc123")
         assert record.fingerprint == "abc123"
 
     def test_save_replaces_existing_model(self, store, fitted):
         matrix, decomposition = fitted
-        store.save("m", decomposition, matrix=matrix)
+        store.save_sharded("m", decomposition, 1, matrix=matrix)
         other = registry.get("isvd0").fit(matrix, 3, target="c")
-        store.save("m", other, matrix=matrix)
-        loaded, record = store.load("m")
+        store.save_sharded("m", other, 1, matrix=matrix)
+        loaded, record = store.load_merged("m")
         assert record.method == "ISVD0" and record.rank == 3
         assert loaded.rank == 3
 
     def test_load_unknown_model_raises_with_available_names(self, store, fitted):
         matrix, decomposition = fitted
-        store.save("present", decomposition)
+        store.save_sharded("present", decomposition, 1)
         with pytest.raises(ModelStoreError, match="present"):
-            store.load("absent")
+            store.load_merged("absent")
 
     def test_record_round_trips_through_dict(self, store, fitted):
         _, decomposition = fitted
-        record = store.save("m", decomposition)
+        record = store.save_sharded("m", decomposition, 1)
         assert ModelRecord.from_dict(record.to_dict()) == record
         # The dict form is JSON-serializable as-is (the HTTP API emits it).
         assert json.loads(json.dumps(record.to_dict())) == record.to_dict()
@@ -77,13 +95,13 @@ class TestListingAndDeletion:
     def test_list_is_sorted_and_complete(self, store, fitted):
         matrix, decomposition = fitted
         for name in ("zeta", "alpha", "mid"):
-            store.save(name, decomposition, matrix=matrix)
+            store.save_sharded(name, decomposition, 1, matrix=matrix)
         assert [r.name for r in store.list()] == ["alpha", "mid", "zeta"]
         assert len(store) == 3
 
     def test_list_skips_incomplete_models(self, store, fitted):
         matrix, decomposition = fitted
-        store.save("whole", decomposition)
+        store.save_sharded("whole", decomposition, 1)
         # A metadata file without factors (e.g. a crashed publisher) is ignored.
         (store.directory / "broken.json").write_text(
             json.dumps(store.record("whole").to_dict()))
@@ -92,7 +110,7 @@ class TestListingAndDeletion:
 
     def test_delete_removes_both_files(self, store, fitted):
         _, decomposition = fitted
-        store.save("m", decomposition)
+        store.save_sharded("m", decomposition, 1)
         store.delete("m")
         assert not store.exists("m")
         assert list(store.directory.iterdir()) == []
@@ -112,7 +130,7 @@ class TestListingAndDeletion:
 
     def test_list_skips_foreign_json(self, store, fitted):
         _, decomposition = fitted
-        store.save("real", decomposition)
+        store.save_sharded("real", decomposition, 1)
         (store.directory / "package.json").write_text('{"name": "not-a-model"}')
         (store.directory / "broken2.json").write_text("{not json")
         (store.directory / "package.npz").write_bytes(b"junk")
@@ -121,7 +139,7 @@ class TestListingAndDeletion:
 
     def test_record_of_foreign_json_raises_store_error(self, store, fitted):
         _, decomposition = fitted
-        store.save("real", decomposition)
+        store.save_sharded("real", decomposition, 1)
         (store.directory / "foreign.json").write_text('{"name": "x"}')
         with pytest.raises(ModelStoreError, match="metadata"):
             store.record("foreign")
@@ -132,11 +150,11 @@ class TestNamesAndAtomicity:
     def test_invalid_names_rejected(self, store, fitted, bad):
         _, decomposition = fitted
         with pytest.raises(ModelStoreError, match="invalid model name"):
-            store.save(bad, decomposition)
+            store.save_sharded(bad, decomposition, 1)
 
     def test_no_temp_files_survive_a_save(self, store, fitted):
         matrix, decomposition = fitted
-        store.save("m", decomposition, matrix=matrix)
+        store.save_sharded("m", decomposition, 1, matrix=matrix)
         leftovers = [p.name for p in store.directory.iterdir()
                      if p.name.startswith(".")]
         assert leftovers == []
@@ -166,7 +184,7 @@ class TestNamesAndAtomicity:
         def publish(dec):
             try:
                 for _ in range(10):
-                    store.save("contested", dec, matrix=matrix)
+                    store.save_sharded("contested", dec, 1, matrix=matrix)
             except Exception as error:  # pragma: no cover - failure diagnostics
                 errors.append(error)
 
@@ -177,8 +195,148 @@ class TestNamesAndAtomicity:
         for thread in threads:
             thread.join()
         assert errors == []
-        loaded, record = store.load("contested")
+        loaded, record = store.load_merged("contested")
         # Atomic replacement: both files parse completely — a reader can race
         # the writers and still never observe a truncated NPZ or JSON file.
         assert record.method in ("ISVD4", "ISVD0")
         assert loaded.rank in (3, 4)
+
+
+def _stub_decomposition(seed: int) -> IntervalDecomposition:
+    """A small random rank-2 model with 6 stored rows (enough for 4 shards)."""
+    rng = np.random.default_rng(seed)
+    lower = rng.normal(size=(6, 2))
+    return IntervalDecomposition(
+        u=IntervalMatrix(lower, lower + rng.uniform(size=(6, 2))),
+        sigma=np.diag(rng.uniform(1.0, 2.0, size=2)),
+        v=rng.normal(size=(5, 2)), target="a", method="stub", rank=2,
+    )
+
+
+def _factor_bytes(decomposition: IntervalDecomposition) -> list:
+    """Dtype and raw bytes of every factor endpoint."""
+    arrays = []
+    for factor in (decomposition.u, decomposition.sigma, decomposition.v):
+        for array in ((factor.lower, factor.upper)
+                      if isinstance(factor, IntervalMatrix) else (factor,)):
+            array = np.ascontiguousarray(array)
+            arrays.append((array.dtype.str, array.shape, array.tobytes()))
+    return arrays
+
+
+#: Names whose manifests and archives share the prefix ``x``: model ``x``'s
+#: shard 0 of generation 1 is ``x.shard-00-001.npz``, next to the manifest
+#: ``x.shard-00-001.json`` of the model of that name.
+STATEFUL_NAMES = ("x", "x.shard-00-001", "x.shard-01-002")
+STUBS = [_stub_decomposition(seed) for seed in range(3)]
+
+
+class StoreModel(RuleBasedStateMachine):
+    """Publish/republish/delete/list against a reference of each name's last
+    publish and the generation it replaced."""
+
+    def __init__(self):
+        super().__init__()
+        self.directory = tempfile.mkdtemp(prefix="store-model-")
+        self.store = ShardedModelStore(self.directory)
+        #: name -> (stub index, generation, shards) of its last publish.
+        self.current = {}
+        #: name -> (generation, shards) of the publish that one replaced.
+        self.previous = {}
+
+    def teardown(self):
+        shutil.rmtree(self.directory, ignore_errors=True)
+
+    def _files_of(self, name):
+        files = {f"{name}.json"}
+        for generation, shards in (self.current[name][1:],
+                                   self.previous.get(name, (0, 0))):
+            files.update(f"{name}.shard-{index:02d}-{generation:03d}.npz"
+                         for index in range(shards))
+        return files
+
+    def _others(self, name):
+        """``os.stat`` identity of every file of every *other* name."""
+        return {
+            file: (stat.st_ino, stat.st_mtime_ns, stat.st_size)
+            for other in self.current if other != name
+            for file in self._files_of(other)
+            for stat in [os.stat(os.path.join(self.directory, file))]
+        }
+
+    def _publish(self, name, stub, shards, generation):
+        others = self._others(name)
+        record = self.store.save_sharded(name, STUBS[stub], shards,
+                                         generation=generation)
+        assert self._others(name) == others
+        assert record.shards == shards
+        if name in self.current:
+            last = self.current[name][1]
+            assert record.generation == (generation or last + 1)
+            self.previous[name] = self.current[name][1:]
+        else:
+            assert record.generation == (generation or 1)
+        self.current[name] = (stub, record.generation, shards)
+
+    @rule(name=st.sampled_from(STATEFUL_NAMES), stub=st.integers(0, 2),
+          shards=st.integers(1, 4), skip=st.none() | st.integers(1, 3))
+    def publish(self, name, stub, shards, skip):
+        """Publish (or republish) at the next generation, or ``skip`` past it."""
+        last = self.current[name][1] if name in self.current else 0
+        self._publish(name, stub, shards,
+                      None if skip is None else last + skip)
+
+    @precondition(lambda self: self.current)
+    @rule(data=st.data(), stub=st.integers(0, 2), shards=st.integers(1, 4))
+    def republish(self, data, stub, shards):
+        name = data.draw(st.sampled_from(sorted(self.current)))
+        self._publish(name, stub, shards, None)
+
+    @precondition(lambda self: self.current)
+    @rule(data=st.data(), back=st.integers(0, 2))
+    def publish_at_a_used_generation(self, data, back):
+        """A generation that does not exceed the current one is refused and
+        changes nothing."""
+        name = data.draw(st.sampled_from(sorted(self.current)))
+        before = self._others(None)
+        with pytest.raises(ModelStoreError, match="generation"):
+            self.store.save_sharded(name, STUBS[0], 1,
+                                    generation=max(self.current[name][1] - back, 1))
+        assert self._others(None) == before
+
+    @rule(name=st.sampled_from(STATEFUL_NAMES))
+    def delete(self, name):
+        others = self._others(name)
+        if name not in self.current:
+            with pytest.raises(ModelStoreError):
+                self.store.delete(name)
+        else:
+            self.store.delete(name)
+            del self.current[name]
+            self.previous.pop(name, None)
+        assert self._others(name) == others
+        assert not self.store.exists(name)
+
+    @rule()
+    def listing(self):
+        assert [record.name for record in self.store.list()] \
+            == sorted(self.current)
+
+    @invariant()
+    def every_listed_model_loads_its_last_publish(self):
+        for name, (stub, generation, shards) in self.current.items():
+            merged, record = self.store.load_merged(name)
+            assert (record.generation, record.shards) == (generation, shards)
+            assert _factor_bytes(merged) == _factor_bytes(STUBS[stub])
+
+    @invariant()
+    def only_current_and_previous_generations_are_on_disk(self):
+        expected = set()
+        for name in self.current:
+            expected |= self._files_of(name)
+        assert set(os.listdir(self.directory)) == expected
+
+
+StoreModel.TestCase.settings = settings(
+    **common_settings(max_examples=40), stateful_step_count=15)
+TestStoreModel = StoreModel.TestCase

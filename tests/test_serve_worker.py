@@ -362,6 +362,46 @@ class TestServingAppWorkers:
         finally:
             app.close()
 
+    def test_one_and_four_shards_serve_the_same_bytes_on_both_backends(
+            self, tmp_path, fitted):
+        import json
+
+        from repro.serve.http import ServingApp
+
+        matrix, decomposition = fitted
+        store = ShardedModelStore(tmp_path / "models")
+        for name, n_shards in (("one", 1), ("four", 4)):
+            store.save_sharded(name, decomposition, n_shards, matrix=matrix)
+            merged, _ = store.load_merged(name)
+            for factor in ("u", "sigma", "v"):
+                for endpoint in ("lower", "upper"):
+                    want = getattr(getattr(decomposition, factor), endpoint,
+                                   getattr(decomposition, factor))
+                    got = getattr(getattr(merged, factor), endpoint,
+                                  getattr(merged, factor))
+                    assert (got.dtype, got.tobytes()) \
+                        == (want.dtype, want.tobytes())
+        bodies = set()
+        for workers, backend in ((False, "sharded-threads"), (True, "workers")):
+            app = ServingApp(store, workers=workers)
+            try:
+                for name, n_shards in (("one", 1), ("four", 4)):
+                    for rows in ({"lower": matrix.lower.tolist(),
+                                  "upper": matrix.upper.tolist()},
+                                 {"row": matrix.midpoint()[0].tolist()}):
+                        payload = dict(rows, model=name, k=3)
+                        replies = [app.recommend(dict(payload)),
+                                   app.neighbors(dict(payload))]
+                        for reply in replies:
+                            assert reply.pop("model") == name
+                        bodies.add((json.dumps(rows), json.dumps(replies)))
+                    entry = app.healthz()["serving"][name]
+                    assert (entry["backend"], entry["shards"],
+                            entry["generation"]) == (backend, n_shards, 1)
+            finally:
+                app.close()
+        assert len(bodies) == 2  # one body per query, whatever the layout
+
     def test_app_close_reaps_workers_and_republish_tracks_generation(
             self, published):
         from repro.serve.http import ServingApp
