@@ -92,16 +92,20 @@ def truncated_eigh(matrix: np.ndarray, rank: int,
     appear for the endpoint matrices of an interval product) are clipped to
     zero before the square root, as the singular values of the interval SVD
     must be non-negative.  ``dtype`` sets the LAPACK compute dtype; ``None``
-    keeps the historical float64 path.
+    keeps the historical float64 path.  Only the top ``r`` eigenpairs are
+    computed (LAPACK ``?syevr`` over an index range), in descending order.
     """
+    # Imported here: repro.core loads eagerly and serving never fits.
+    from scipy.linalg import eigh
+
     matrix = np.asarray(matrix, dtype=float if dtype is None else dtype)
     matrix = 0.5 * (matrix + matrix.T)  # guard against asymmetry from round-off
-    eigenvalues, eigenvectors = np.linalg.eigh(matrix)
-    order = np.argsort(eigenvalues)[::-1]
-    rank = min(rank, eigenvalues.shape[0])
-    top = order[:rank]
-    values = np.clip(eigenvalues[top], 0.0, None)
-    return eigenvectors[:, top], np.sqrt(values)
+    n = matrix.shape[0]
+    rank = min(rank, n)
+    eigenvalues, eigenvectors = eigh(matrix, subset_by_index=[n - rank, n - 1],
+                                     driver="evr", overwrite_a=True)
+    values = np.clip(eigenvalues[::-1], 0.0, None)
+    return np.ascontiguousarray(eigenvectors[:, ::-1]), np.sqrt(values)
 
 
 def _validate_inputs(matrix: IntervalMatrix, rank: int) -> None:

@@ -50,6 +50,10 @@ product, with the sparse results densified for a sparse ``M``.  The one
 specialisation is ``endpoint4``'s sparse gram: its two cross products are
 mutual transposes, so it runs three sparse products (SpGEMMs) instead of
 four.
+
+On non-negative operands ``endpoint4``'s sparse gram skips the cross
+products: the min and max of the four products are ``Lᵀ L`` and ``Uᵀ U``
+themselves, so it runs two SpGEMMs and returns the same bytes.
 """
 
 from __future__ import annotations
@@ -263,6 +267,23 @@ def kernel_infos() -> List[KernelInfo]:
 # --------------------------------------------------------------------------- #
 # endpoint4 — the paper's four-endpoint construction (supplementary Alg. 1)
 # --------------------------------------------------------------------------- #
+def _nonnegative(*endpoints) -> bool:
+    """True when every endpoint array is finite and ``>= +0.0``.
+
+    Over such operands every summand of ``LᵀL``, ``LᵀU`` and ``UᵀU`` is
+    ordered the same way, and rounding is monotone, so when all four
+    products sum each entry in one order the four-product min/max is
+    exactly ``(LᵀL, UᵀU)``.  ``-0.0`` (signed-zero sums may differ), NaN
+    (``signbit`` passes it) and ``inf`` (``0 * inf`` is NaN) all fail the
+    test.  Sparse endpoints are judged by their stored values.
+    """
+    for endpoint in endpoints:
+        values = endpoint.data if issparse(endpoint) else endpoint
+        if np.signbit(values).any() or not np.isfinite(values).all():
+            return False
+    return True
+
+
 def _endpoint4_product(a, b, matmul: Callable) -> Tuple[np.ndarray, np.ndarray]:
     products = (
         matmul(a.lower, b.lower),
@@ -288,17 +309,19 @@ def _endpoint4_product(a, b, matmul: Callable) -> Tuple[np.ndarray, np.ndarray]:
 def _endpoint4_sparse_gram(m) -> Tuple[np.ndarray, np.ndarray]:
     """Gram product of a sparse operand in scipy's sparse BLAS."""
     # The two cross endpoint products of a Gram matrix are mutual transposes
-    # (LᵀU = (UᵀL)ᵀ — same summand products, reassociated), so compute one
-    # and transpose it: 3 products instead of 4.
+    # (LᵀU = (UᵀL)ᵀ — same summand products, reassociated), so signed data
+    # computes one and transposes it: 3 products instead of 4.  On
+    # non-negative data scipy sums all four in one stored-index order, so
+    # LᵀL <= LᵀU <= UᵀU entry by entry (see _nonnegative) and the min/max
+    # are the two outer products: 2 products.
     lower_t = m.lower.T.tocsr()
     upper_t = m.upper.T.tocsr()
+    low = (lower_t @ m.lower).toarray()
+    high = (upper_t @ m.upper).toarray()
+    if _nonnegative(m.lower, m.upper):
+        return low, high
     cross = (lower_t @ m.upper).toarray()
-    stacked = np.stack([
-        (lower_t @ m.lower).toarray(),
-        cross,
-        cross.T,
-        (upper_t @ m.upper).toarray(),
-    ])
+    stacked = np.stack([low, cross, cross.T, high])
     return stacked.min(axis=0), stacked.max(axis=0)
 
 
@@ -406,7 +429,8 @@ _KERNELS: Dict[str, KernelInfo] = {info.key: info for info in (
     KernelInfo(
         key="endpoint4",
         summary="paper's four-endpoint-product min/max (Alg. 1); unsound on mixed signs",
-        sound=False, tight=False, paper_faithful=True, cost="4 blas", sparse=True,
+        sound=False, tight=False, paper_faithful=True,
+        cost="4 blas (sparse gram: 2 on >= 0 data)", sparse=True,
         _product=_endpoint4_product,
         _sparse_gram=_endpoint4_sparse_gram,
     ),

@@ -84,6 +84,20 @@ sparse_pair_params = st.tuples(
     st.floats(0.1, 0.7),      # density
 )
 
+#: Memory layouts of one endpoint array: C order, F order, a transposed
+#: view of a C array, and a strided view no BLAS call accepts.
+ENDPOINT_LAYOUTS = ("C", "F", "transposed", "strided")
+
+#: (rows, inner, cols, seed, four endpoint layouts) for a non-negative
+#: interval product pair with exact zeros and degenerate entries.
+nonnegative_pair_params = st.tuples(
+    st.integers(1, 64),       # rows
+    st.integers(1, 64),       # inner dim
+    st.integers(1, 64),       # cols
+    st.integers(0, 10_000),   # seed
+    st.tuples(*[st.sampled_from(ENDPOINT_LAYOUTS)] * 4),
+)
+
 #: (threshold, window, cooldown) of a circuit breaker.  Whole seconds, so
 #: whole-second fake-clock steps land exactly on window and cooldown edges.
 breaker_params = st.tuples(
@@ -185,6 +199,44 @@ def random_interval_pair(params, mixed_sign=True, dtype=np.float64):
         a = a.astype(np.dtype(dtype), outward=True)
         b = b.astype(np.dtype(dtype), outward=True)
     return a, b, rng
+
+
+def with_layout(values, layout):
+    """``values`` (2-D) stored in one of :data:`ENDPOINT_LAYOUTS`."""
+    if layout == "C":
+        return np.ascontiguousarray(values)
+    if layout == "F":
+        return np.asfortranarray(values)
+    if layout == "transposed":
+        return np.ascontiguousarray(values.T).T
+    padded = np.zeros((values.shape[0], 2 * values.shape[1]), values.dtype)
+    padded[:, ::2] = values
+    return padded[:, ::2]
+
+
+def nonnegative_interval_pair(params, dtype=np.float64):
+    """Expand :data:`nonnegative_pair_params` into ``(a, b)``.
+
+    Endpoints are ``>= +0.0`` with exact zeros in both, about half of the
+    entries degenerate (``lower == upper``, where the four endpoint
+    products tie in exact arithmetic and only their rounding tells them
+    apart), and each endpoint array in its own drawn memory layout.
+    """
+    rows, inner, cols, seed, layouts = params
+    rng = np.random.default_rng(seed)
+
+    def endpoints(shape):
+        upper = rng.random(shape)
+        upper[rng.random(shape) < 0.3] = 0.0
+        lower = np.where(rng.random(shape) < 0.5, upper, upper * rng.random(shape))
+        lower[rng.random(shape) < 0.1] = 0.0
+        return lower.astype(dtype), upper.astype(dtype)
+
+    a_lo, a_hi = endpoints((rows, inner))
+    b_lo, b_hi = endpoints((inner, cols))
+    a = IntervalMatrix(with_layout(a_lo, layouts[0]), with_layout(a_hi, layouts[1]))
+    b = IntervalMatrix(with_layout(b_lo, layouts[2]), with_layout(b_hi, layouts[3]))
+    return a, b
 
 
 def real_valued_decomposition(params, dtype=np.float64):

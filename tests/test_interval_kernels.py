@@ -10,18 +10,27 @@ The load-bearing facts checked here:
   random interval product (the soundness property ``endpoint4`` lacks);
 * ``endpoint4`` equals ``exact`` on sign-consistent operands, which is why
   the paper's figures are unaffected by the bug on non-negative data;
+* on non-negative operands every ``endpoint4`` product and gram returns
+  the bytes of the four-product min/max, in every storage, layout and
+  dtype, including the sparse gram, which runs two SpGEMMs there; one
+  signed, NaN, infinite or ``-0.0`` entry keeps those bytes too;
 * the kernel threads end to end: isvd, reconstruct, fold-in, engine.
 """
 
+import operator
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from strategies import (
+    DTYPES,
     brute_force_hull,
     common_settings,
     interval_matrix_params,
+    nonnegative_interval_pair,
+    nonnegative_pair_params,
     random_interval_pair,
     tiny_interval_matrix_params,
 )
@@ -39,6 +48,8 @@ from repro.interval.kernels import (
 from repro.interval.linalg import interval_dot, interval_matmul
 from repro.interval.random import random_interval_matrix
 from repro.interval.scalar import Interval, IntervalError
+from repro.interval.sparse import SparseIntervalMatrix
+from repro.serve.foldin import batch_invariant_matmul
 
 COMMON_SETTINGS = common_settings(max_examples=25)
 
@@ -189,6 +200,120 @@ class TestSignConsistentEquivalence:
             result = interval_matmul(a, b, kernel=kernel)
             np.testing.assert_allclose(result.lower, expected, atol=1e-12)
             np.testing.assert_allclose(result.upper, expected, atol=1e-12)
+
+
+def _densified(x, y):
+    return (x @ y).toarray()
+
+
+def _four_product_reference(a, b, matmul):
+    """Supplementary Alg. 1 as written: min/max over all four products."""
+    products = np.stack([matmul(x, y)
+                         for x in (a.lower, a.upper) for y in (b.lower, b.upper)])
+    return products.min(axis=0), products.max(axis=0)
+
+
+#: ``endpoint4`` products and grams on non-negative operands: ``case(a, b)``
+#: returns the kernel's endpoints and the reference's.  Only the sparse gram
+#: takes the two-product path; the other cases run all four products.
+E4 = get_kernel("endpoint4")
+NONNEGATIVE_CASES = {
+    "matmul": lambda a, b: (
+        E4.product(a, b), _four_product_reference(a, b, np.matmul)),
+    "batch_invariant_matmul": lambda a, b: (
+        E4.product(a, b, batch_invariant_matmul),
+        _four_product_reference(a, b, batch_invariant_matmul)),
+    "dense_gram": lambda a, b: (
+        E4.gram(a), _four_product_reference(a.T, a, np.matmul)),
+    "sparse_gram": lambda a, b: (
+        E4.gram(a), _four_product_reference(a.T, a, _densified)),
+    "sparse@dense": lambda a, b: (
+        E4.product(a, b), _four_product_reference(a, b, operator.matmul)),
+    "dense@sparse": lambda a, b: (
+        E4.product(a, b), _four_product_reference(a, b, operator.matmul)),
+}
+
+
+def _storage(case, a, b):
+    """The case's operands: sparse where its name says so."""
+    if case == "sparse_gram" or case == "sparse@dense":
+        a = SparseIntervalMatrix.from_dense(a)
+    if case == "dense@sparse":
+        b = SparseIntervalMatrix.from_dense(b)
+    return a, b
+
+
+def _assert_same_bytes(result, expected):
+    for got, want in zip(result, expected):
+        got = np.asarray(got)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+def _poisoned(matrix, endpoint, value, rng):
+    """``matrix`` with one stored ``endpoint`` entry replaced by ``value``."""
+    lower, upper = matrix.lower.copy(), matrix.upper.copy()
+    target = lower if endpoint == "lower" else upper
+    if isinstance(matrix, SparseIntervalMatrix):
+        assume(target.nnz > 0)
+        target.data[rng.integers(target.nnz)] = value
+        upper.indices, upper.indptr = lower.indices, lower.indptr
+        return SparseIntervalMatrix(lower, upper, check=False)
+    target[np.unravel_index(rng.integers(target.size), target.shape)] = value
+    return IntervalMatrix(lower, upper, check=False)
+
+
+class TestNonNegativeEndpoint4:
+    """On non-negative operands ``endpoint4`` keeps the four-product bytes.
+
+    The sparse gram returns ``(LᵀL, UᵀU)`` there without the cross
+    product.  Each case must give the bytes of the paper's four-product
+    min/max, which the tests compute themselves: operands have exact
+    zeros, degenerate entries (where the four products tie and only
+    rounding separates them) and endpoints in differing memory layouts.
+    """
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("case", sorted(NONNEGATIVE_CASES))
+    @settings(**COMMON_SETTINGS)
+    @given(nonnegative_pair_params)
+    def test_equals_the_four_product_reference(self, case, dtype, params):
+        a, b = _storage(case, *nonnegative_interval_pair(params, dtype=dtype))
+        result, expected = NONNEGATIVE_CASES[case](a, b)
+        _assert_same_bytes(result, expected)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @settings(**COMMON_SETTINGS)
+    @given(nonnegative_pair_params)
+    def test_sparse_times_sparse_keeps_its_csr_arrays(self, dtype, params):
+        a, b = nonnegative_interval_pair(params, dtype=dtype)
+        a = SparseIntervalMatrix.from_dense(a)
+        b = SparseIntervalMatrix.from_dense(b)
+        products = [x @ y for x in (a.lower, a.upper) for y in (b.lower, b.upper)]
+        lower = upper = products[0]
+        for product in products[1:]:
+            lower, upper = lower.minimum(product), upper.maximum(product)
+        for got, want in zip(E4.product(a, b), (lower.tocsr(), upper.tocsr())):
+            for part in ("indptr", "indices", "data"):
+                assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("value", [-0.0, np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("case", sorted(NONNEGATIVE_CASES))
+    @settings(**COMMON_SETTINGS)
+    @given(nonnegative_pair_params, st.sampled_from(["a", "b"]),
+           st.sampled_from(["lower", "upper"]), st.integers(0, 10_000))
+    def test_one_bad_entry_keeps_the_reference_bytes(self, case, value, dtype, params,
+                                                     operand, endpoint, seed):
+        a, b = _storage(case, *nonnegative_interval_pair(params, dtype=dtype))
+        rng = np.random.default_rng(seed)
+        if operand == "a" or case.endswith("gram"):
+            a = _poisoned(a, endpoint, value, rng)
+        else:
+            b = _poisoned(b, endpoint, value, rng)
+        with np.errstate(invalid="ignore"):
+            result, expected = NONNEGATIVE_CASES[case](a, b)
+        _assert_same_bytes(result, expected)
 
 
 class TestShapesAndPrimitives:

@@ -59,6 +59,34 @@ class TestHelpers:
         _, values = truncated_eigh(matrix, 3)
         assert np.all(values >= 0.0)
 
+    def test_truncated_eigh_returns_descending_top_pairs(self, rng):
+        factor = rng.normal(size=(40, 30))
+        spd = factor.T @ factor + 1e-3 * np.eye(30)
+        vectors, values = truncated_eigh(spd, 7)
+        assert vectors.shape == (30, 7) and values.shape == (7,)
+        assert np.all(np.diff(values) <= 0.0)
+        np.testing.assert_allclose(spd @ vectors, vectors * values**2,
+                                   rtol=0.0, atol=1e-9 * values[0] ** 2)
+
+    def test_truncated_eigh_top_values_match_full_eigh(self, rng):
+        factor = rng.normal(size=(120, 80))
+        spd = factor.T @ factor + np.eye(80)
+        _, values = truncated_eigh(spd, 12)
+        expected = np.linalg.eigh(spd)[0][::-1][:12]
+        np.testing.assert_allclose(values**2, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("rank", [5, 9])
+    def test_truncated_eigh_full_and_clipped_rank(self, rng, rank):
+        factor = rng.normal(size=(8, 5))
+        vectors, values = truncated_eigh(factor.T @ factor, rank)
+        assert vectors.shape == (5, 5) and values.shape == (5,)
+        np.testing.assert_allclose(np.sort(values)[::-1], values)
+
+    def test_truncated_eigh_keeps_float32(self, rng):
+        factor = rng.normal(size=(20, 10)).astype(np.float32)
+        vectors, values = truncated_eigh(factor.T @ factor, 4, dtype=np.float32)
+        assert vectors.dtype == np.float32 and values.dtype == np.float32
+
     def test_method_coercion(self):
         assert ISVDMethod.coerce("ISVD4") is ISVDMethod.ISVD4
         assert ISVDMethod.coerce(ISVDMethod.ISVD1) is ISVDMethod.ISVD1
